@@ -34,18 +34,15 @@ from .decompose import (
 )
 from .errors import (
     ClosureError,
-    ParseError,
     ResourceLimitError,
     SearchInvariantError,
     VarietyError,
 )
-from .groupoid import FiniteGroupoid, from_json, render_text
+from .groupoid import FiniteGroupoid, from_json, render_text, to_doc
 from .laws import VarietySpec, check_variety, get_variety, parse_identity
 from .morphisms import canonical_iso, classify_all_bijections, iso_search
 from .search import brute_force_oracle, enumerate_models, spectrum_scan
 from .verify import run_claims
-
-_ENV_THREADS = "AGBAND_THREADS"
 
 
 def _read_groupoid(path: str) -> FiniteGroupoid:
@@ -53,14 +50,6 @@ def _read_groupoid(path: str) -> FiniteGroupoid:
         return from_json(sys.stdin.read())
     with open(path, encoding="utf-8") as fh:
         return from_json(fh.read())
-
-
-def _doc(g: FiniteGroupoid) -> dict:
-    return {
-        "order": g.order,
-        "labels": list(g.labels),
-        "table": [list(row) for row in g.table],
-    }
 
 
 def _print_json(doc) -> None:
@@ -71,7 +60,7 @@ def _emit_groupoid(g: FiniteGroupoid, fmt: str) -> None:
     if fmt == "text":
         print(render_text(g))
     else:
-        _print_json(_doc(g))
+        _print_json(to_doc(g))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +191,7 @@ def _cmd_decompose(args) -> int:
         dec = extension_block_decomposition(args.n)
         doc = {
             "blocks": _partition_doc(dec.partition),
-            "quotient": _doc(dec.quotient),
+            "quotient": to_doc(dec.quotient),
         }
     elif args.mode == "gcopies":
         g = _read_groupoid(args.input)
@@ -224,7 +213,7 @@ def _cmd_decompose(args) -> int:
             return 1
         doc = {
             "blocks": _partition_doc(outcome.partition),
-            "quotient": _doc(outcome.quotient),
+            "quotient": to_doc(outcome.quotient),
         }
     if args.format == "text":
         for i, block in enumerate(doc["blocks"]):
@@ -290,12 +279,12 @@ def _cmd_models(args) -> int:
         for k, g in enumerate(out.canonical_models):
             path = os.path.join(args.emit, f"model-{k:03d}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(_doc(g), fh, indent=2)
+                json.dump(to_doc(g), fh, indent=2)
                 fh.write("\n")
             paths.append(path)
         summary["models"] = paths
     else:
-        summary["models"] = [_doc(g) for g in out.canonical_models]
+        summary["models"] = [to_doc(g) for g in out.canonical_models]
     if args.format == "text":
         print(f"{out.variety} order {out.order}: {out.count} classes "
               f"({out.stats.nodes} nodes, {out.stats.seconds:.3f}s)")
@@ -385,10 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Build, check and dissect the order-quadrupling family of "
             "anti-rectangular bands."
-        ),
-        epilog=(
-            f"{_ENV_THREADS} caps the worker count; execution is sequential, "
-            "so any positive cap is honored."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -506,19 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
-    raw = os.environ.get(_ENV_THREADS)
-    if raw is not None:
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            print(
-                f"error: {_ENV_THREADS} must be a positive integer, "
-                f"got {raw!r}",
-                file=sys.stderr,
-            )
-            return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

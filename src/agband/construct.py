@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import VarietyError
 from .groupoid import FiniteGroupoid
-from .laws import VARIETIES, check_variety, eval_term, parse_term
+from .laws import eval_term, parse_term, require_aragb
 
 # ---------------------------------------------------------------------------
 # the standard order-4 model
@@ -117,13 +116,7 @@ def extend(base: FiniteGroupoid, designated: int = 0,
         x_label = "x"
     if x_label in base.labels:
         raise ValueError(f"label {x_label!r} already used in the base")
-    report = check_variety(base, VARIETIES["aragb"])
-    if not report.holds:
-        bad = report.first_failure
-        raise VarietyError(
-            f"base violates '{bad.identity}' at {bad.counterexample}",
-            report=report,
-        )
+    require_aragb(base, "base")
     m = base.table
     a = designated
     table = [[0] * (4 * n) for _ in range(4 * n)]

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError, SearchInvariantError, VarietyError
+from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
-from .laws import VARIETIES, check_variety
+from .laws import require_aragb
 from .morphisms import MapKind, iso_search
 
 
@@ -105,16 +105,6 @@ def check_band_decomposition(g: FiniteGroupoid, p: Partition):
     return BandDecomposition(p, quotient)
 
 
-def _require_aragb(g: FiniteGroupoid, who: str):
-    report = check_variety(g, VARIETIES["aragb"])
-    if not report.holds:
-        bad = report.first_failure
-        raise VarietyError(
-            f"{who} violates '{bad.identity}' at {bad.counterexample}",
-            report=report,
-        )
-
-
 def extension_block_decomposition(n: int) -> BandDecomposition:
     """The four-block decomposition of tower level n.
 
@@ -170,7 +160,7 @@ def g_copy_partition(g: FiniteGroupoid) -> Partition:
         power *= 4
     if power != n or n < 4:
         raise ValueError(f"order {n} is not 4**n for some n >= 1")
-    _require_aragb(g, "input")
+    require_aragb(g, "input")
 
     blocks: list[tuple[int, ...]] = []
     uncovered = set(range(n))
@@ -247,7 +237,7 @@ def copy_intersection_audit(g: FiniteGroupoid) -> IntersectionAudit:
             f"audit is quadratic in generated copies; supported up to order "
             f"{_AUDIT_LIMIT}"
         )
-    _require_aragb(g, "input")
+    require_aragb(g, "input")
     reference = standard_g()
     multiplicity: dict[frozenset[int], int] = {}
     generator_pairs = 0

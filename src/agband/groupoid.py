@@ -53,7 +53,7 @@ class FiniteGroupoid:
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"entry ({i}, {j}) = {v!r} out of range")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "labels", labels)
@@ -172,9 +172,13 @@ class FiniteGroupoid:
         )
 
 
+def to_doc(g: FiniteGroupoid) -> dict:
+    """The Cayley JSON object as plain dicts and lists."""
+    return {"order": g.order, "labels": list(g.labels), "table": [list(r) for r in g.table]}
+
+
 def to_json(g: FiniteGroupoid) -> str:
-    doc = {"order": g.order, "labels": list(g.labels), "table": [list(r) for r in g.table]}
-    return json.dumps(doc, indent=2)
+    return json.dumps(to_doc(g), indent=2)
 
 
 def from_json(text: str) -> FiniteGroupoid:
@@ -184,6 +188,8 @@ def from_json(text: str) -> FiniteGroupoid:
         raise ValueError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict) or not {"order", "labels", "table"} <= set(doc):
         raise ValueError('expected an object with "order", "labels" and "table"')
+    if type(doc["order"]) is not int:
+        raise ValueError(f'"order" must be an integer, got {doc["order"]!r}')
     g = FiniteGroupoid(table=doc["table"], labels=doc["labels"])
     if g.order != doc["order"]:
         raise ValueError(f'"order" is {doc["order"]} but the table has {g.order} rows')

@@ -6,14 +6,15 @@ assignment of elements to variables.  ``check_identity`` compiles that sweep
 into a nest of ``for`` loops (one per variable, with repeated subproducts
 hoisted to the outermost loop that can compute them) instead of interpreting
 the terms inside the innermost loop; on tables of order 64 and up the
-difference is an order of magnitude.
+difference is an order of magnitude.  The model search scans its partial
+tables, with ``None`` for undecided cells, through the same compiler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, VarietyError
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +196,16 @@ class IdentityReport:
     assignments: int  # assignments swept, counting the failing one
 
 
-_KERNELS: dict[str, object] = {}
+_KERNELS: dict[tuple[str, bool], object] = {}
 
 
-def _compile_kernel(identity: Identity):
-    """Build ``_kernel(t, n) -> None | tuple`` for this identity's shape."""
+def _compile_kernel(identity: Identity, partial: bool):
+    """Build ``_kernel(t, n) -> None | tuple`` for this identity's shape.
+
+    With ``partial`` the table may hold ``None`` holes (the model search's
+    undecided cells); an instance with an undecided subterm cannot be
+    verified yet, so the generated ``_scan`` skips past it.
+    """
     order = variables(identity)
     level = {v: i for i, v in enumerate(order)}
     temps: dict[tuple[str, str], tuple[str, int, str]] = {}
@@ -221,27 +227,31 @@ def _compile_kernel(identity: Identity):
     rexpr, _ = build(identity.rhs)
 
     pad = "    "
-    lines = ["def _kernel(t, n):"]
+    fname = "_scan" if partial else "_kernel"
+    lines = [f"def {fname}(t, n):"]
     for lvl, var in enumerate(order):
         lines.append(pad * (lvl + 1) + f"for {var} in range(n):")
         for key in creation:
             name, tl, expr = temps[key]
             if tl == lvl:
-                lines.append(pad * (lvl + 2) + f"{name} = {expr}")
+                body = pad * (lvl + 2)
+                lines.append(body + f"{name} = {expr}")
+                if partial:
+                    lines.append(body + f"if {name} is None: continue")
     inner = pad * (len(order) + 1)
     lines.append(inner + f"if {lexpr} != {rexpr}:")
     lines.append(inner + pad + f"return ({', '.join(order)},)")
     lines.append(pad + "return None")
     ns: dict = {}
     exec("\n".join(lines), ns)  # noqa: S102 - source is generated above
-    return ns["_kernel"]
+    return ns[fname]
 
 
-def _kernel_for(identity: Identity):
-    key = alpha_key(identity)
+def _kernel_for(identity: Identity, partial: bool = False):
+    key = (alpha_key(identity), partial)
     kern = _KERNELS.get(key)
     if kern is None:
-        kern = _KERNELS[key] = _compile_kernel(identity)
+        kern = _KERNELS[key] = _compile_kernel(identity, partial)
     return kern
 
 
@@ -300,6 +310,18 @@ VARIETIES: dict[str, VarietySpec] = {
     "medial": VarietySpec("MEDIAL", (MEDIAL,)),
     "evans": VarietySpec("EVANS", (EVANS,)),
 }
+
+
+def require_aragb(g, who: str) -> None:
+    """Raise VarietyError naming ``who`` unless g is an anti-rectangular
+    AG-band; the error carries the failing variety report."""
+    report = check_variety(g, VARIETIES["aragb"])
+    if not report.holds:
+        bad = report.first_failure
+        raise VarietyError(
+            f"{who} violates '{bad.identity}' at {bad.counterexample}",
+            report=report,
+        )
 
 
 def get_variety(name: str) -> VarietySpec:

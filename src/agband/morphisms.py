@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import ResourceLimitError, SearchInvariantError, VarietyError
+from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
-from .laws import VARIETIES, check_variety
+from .laws import require_aragb
 
 
 class MapKind(str, Enum):
@@ -278,16 +278,6 @@ def iso_search(src: FiniteGroupoid, dst: FiniteGroupoid,
 # turning anti-isomorphisms into isomorphisms
 
 
-def _require_aragb(g: FiniteGroupoid, who: str):
-    report = check_variety(g, VARIETIES["aragb"])
-    if not report.holds:
-        bad = report.first_failure
-        raise VarietyError(
-            f"{who} violates '{bad.identity}' at {bad.counterexample}",
-            report=report,
-        )
-
-
 def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mapping:
     """Given an anti-isomorphism src -> dst, produce an isomorphism.
 
@@ -304,7 +294,7 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
         return replace(phi, kind=MapKind.ISO)
     if kind != MapKind.ANTI_ISO:
         raise ValueError(f"expected an ANTI_ISO mapping, got {kind}")
-    _require_aragb(src, "source")
+    require_aragb(src, "source")
     if n == 4:
         c, d = 0, 1
         cd = src.table[c][d]
@@ -384,7 +374,7 @@ def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     enumeration = tuple(enumeration)
     if sorted(enumeration) != list(range(n)):
         raise ValueError("enumeration must be a permutation of the indices")
-    _require_aragb(k, "input")
+    require_aragb(k, "input")
 
     target = tower_level(level)
     tt = target.table

@@ -24,9 +24,9 @@ from functools import lru_cache
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid, default_labels
 from .laws import (
-    Identity,
     Var,
     VarietySpec,
+    _kernel_for,
     alpha_key,
     check_variety,
     parse_identity,
@@ -64,65 +64,6 @@ class SearchOutcome:
 
 class _StopSearch(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# partial-table ground-instance scanners
-#
-# Same generated-loop shape as the full-table kernels in laws.py, except
-# every compound subterm may be undecided (None); an undecided subterm makes
-# the instance unverifiable for now, so the scanner skips past it.
-
-_SCANNERS: dict[str, object] = {}
-
-
-def _compile_scanner(identity: Identity):
-    """Build ``_scan(t, n) -> None | tuple`` over a table with None holes."""
-    order = variables(identity)
-    level = {v: i for i, v in enumerate(order)}
-    temps: dict[tuple[str, str], tuple[str, int, str]] = {}
-    creation: list[tuple[str, str]] = []
-
-    def build(t) -> tuple[str, int]:
-        if isinstance(t, Var):
-            return t.name, level[t.name]
-        le, ll = build(t.left)
-        re_, rl = build(t.right)
-        key = (le, re_)
-        lvl = max(ll, rl)
-        if key not in temps:
-            temps[key] = (f"_s{len(temps)}", lvl, f"t[{le}][{re_}]")
-            creation.append(key)
-        return temps[key][0], lvl
-
-    lexpr, _ = build(identity.lhs)
-    rexpr, _ = build(identity.rhs)
-
-    pad = "    "
-    lines = ["def _scan(t, n):"]
-    for lvl, var in enumerate(order):
-        lines.append(pad * (lvl + 1) + f"for {var} in range(n):")
-        for key in creation:
-            name, tl, expr = temps[key]
-            if tl == lvl:
-                body = pad * (lvl + 2)
-                lines.append(body + f"{name} = {expr}")
-                lines.append(body + f"if {name} is None: continue")
-    inner = pad * (len(order) + 1)
-    lines.append(inner + f"if {lexpr} != {rexpr}:")
-    lines.append(inner + pad + f"return ({', '.join(order)},)")
-    lines.append(pad + "return None")
-    ns: dict = {}
-    exec("\n".join(lines), ns)  # noqa: S102 - source is generated above
-    return ns["_scan"]
-
-
-def _scanner_for(identity: Identity):
-    key = alpha_key(identity)
-    scan = _SCANNERS.get(key)
-    if scan is None:
-        scan = _SCANNERS[key] = _compile_scanner(identity)
-    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +174,7 @@ def enumerate_models(
             f"to search for witnesses instead"
         )
     scanners = [
-        _scanner_for(ident)
+        _kernel_for(ident, partial=True)
         for ident, k in zip(v.identities, keys)
         if k not in _IDEMPOTENT_KEYS and k not in _FORCING_KEYS
     ]

@@ -31,11 +31,9 @@ from .decompose import (
     g_copy_partition,
 )
 from .errors import ClosureError
-from .groupoid import FiniteGroupoid
 from .laws import (
     ANTI_RECTANGULAR,
     IDEMPOTENT,
-    LEFT_INVERTIVE,
     MEDIAL,
     check_identity,
     check_variety,

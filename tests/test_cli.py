@@ -225,18 +225,20 @@ def test_stdin_input(capsys, monkeypatch):
     assert run(["check", "-", "--variety", "aragb"]) == 0
 
 
-def test_threads_env_must_be_positive(capsys, monkeypatch):
-    monkeypatch.setenv("AGBAND_THREADS", "0")
-    assert run(["build", "g"]) == 2
-    monkeypatch.setenv("AGBAND_THREADS", "junk")
-    assert run(["build", "g"]) == 2
-    monkeypatch.setenv("AGBAND_THREADS", "4")
-    assert run(["build", "g"]) == 0
-
-
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
 
 def test_missing_file_is_a_usage_error(capsys):
     assert run(["check", "/nowhere/missing.json"]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"order": 2.0, "labels": ["a", "b"], "table": [[0, 1], [1, 0]]},
+    {"order": 2, "labels": ["a", "b"], "table": [[True, False], [False, True]]},
+])
+def test_check_rejects_non_integer_json_as_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

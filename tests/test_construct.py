@@ -64,8 +64,12 @@ def test_extend_designated_element_changes_the_table_but_not_the_class():
 
 def test_extend_rejects_non_models_and_bad_arguments():
     bad = FiniteGroupoid(table=tuple(tuple(range(4)) for _ in range(4)))
-    with pytest.raises(VarietyError):
+    with pytest.raises(VarietyError) as err:
         extend(bad)
+    assert str(err.value) == (
+        "base violates '(xy)z = (zy)x' at {'x': 0, 'y': 0, 'z': 1}"
+    )
+    assert not err.value.report.holds
     with pytest.raises(ValueError):
         extend(FiniteGroupoid(table=((0,),)))
     with pytest.raises(IndexError):

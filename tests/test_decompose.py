@@ -94,8 +94,9 @@ def test_g_copy_partition_tiles_each_tower_level():
 def test_g_copy_partition_rejects_wrong_orders_and_varieties():
     with pytest.raises(ValueError):
         g_copy_partition(FiniteGroupoid(table=((0,) * 5,) * 5))
-    with pytest.raises(VarietyError):
+    with pytest.raises(VarietyError, match=r"^input violates '") as err:
         g_copy_partition(gbar_derived())
+    assert not err.value.report.holds
 
 
 def test_intersection_audit_on_the_small_model():
@@ -123,5 +124,6 @@ def test_intersection_audit_order_limit():
 
 
 def test_intersection_audit_requires_the_variety():
-    with pytest.raises(VarietyError):
+    with pytest.raises(VarietyError, match=r"^input violates '") as err:
         copy_intersection_audit(gbar_derived())
+    assert not err.value.report.holds

@@ -37,6 +37,11 @@ def test_rejects_out_of_range_entry():
         FiniteGroupoid(table=((0, 2), (1, 0)))
 
 
+def test_rejects_boolean_entries():
+    with pytest.raises(ValueError):
+        FiniteGroupoid(table=((True, False), (False, True)))
+
+
 def test_rejects_empty_table():
     with pytest.raises(ValueError):
         FiniteGroupoid(table=())
@@ -141,6 +146,15 @@ def test_from_json_validates_shape():
         from_json("not json at all")
     doc = json.loads(to_json(Z3))
     doc["order"] = 7
+    with pytest.raises(ValueError):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("order, table", [(2.0, ((0, 1), (1, 0))), (True, ((0,),))])
+def test_from_json_rejects_a_non_integer_order(order, table):
+    # both compare equal to the row count, so only the type check refuses them
+    doc = json.loads(to_json(FiniteGroupoid(table=table)))
+    doc["order"] = order
     with pytest.raises(ValueError):
         from_json(json.dumps(doc))
 

@@ -119,8 +119,9 @@ def test_anti_to_iso_requires_the_right_variety():
     gbar = gbar_derived()
     phi = verified(tuple(range(16)), gbar, gbar.opposite())
     assert phi.kind is MapKind.ANTI_ISO
-    with pytest.raises(VarietyError):
+    with pytest.raises(VarietyError, match=r"^source violates '") as err:
         anti_to_iso(phi, gbar, gbar.opposite())
+    assert not err.value.report.holds
 
 
 def test_anti_to_iso_rejects_a_non_anti_isomorphism():
@@ -152,5 +153,6 @@ def test_canonical_iso_on_shuffled_towers():
 
 
 def test_canonical_iso_rejects_non_power_of_four_orders():
-    with pytest.raises(VarietyError):
+    with pytest.raises(VarietyError, match=r"^input violates '") as err:
         canonical_iso(gbar_derived())
+    assert not err.value.report.holds

@@ -1,12 +1,24 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agband.construct import standard_g, tower_level
 from agband.errors import ResourceLimitError
 from agband.groupoid import FiniteGroupoid
-from agband.laws import check_variety, get_variety
+from agband.laws import (
+    Identity,
+    Prod,
+    Var,
+    _kernel_for,
+    check_variety,
+    get_variety,
+    variables,
+)
 from agband.morphisms import iso_search
 from agband.search import (
     SearchOutcome,
+    _eval_partial,
     brute_force_oracle,
     canonical_form,
     canonical_table,
@@ -15,6 +27,42 @@ from agband.search import (
 )
 
 ARAGB = get_variety("aragb")
+
+
+def _terms():
+    return st.recursive(
+        st.sampled_from("xyz").map(Var),
+        lambda sub: st.tuples(sub, sub).map(lambda p: Prod(*p)),
+        max_leaves=5,
+    )
+
+
+def _partial_tables():
+    def build(n):
+        cell = st.one_of(st.none(), st.integers(0, n - 1))
+        row = st.lists(cell, min_size=n, max_size=n)
+        return st.lists(row, min_size=n, max_size=n)
+
+    return st.integers(1, 4).flatmap(build)
+
+
+@given(_terms(), _terms(), _partial_tables())
+@settings(max_examples=200)
+def test_partial_scanner_finds_the_first_decided_failure(lhs, rhs, table):
+    # the compiled partial-table scanner against a lexicographic sweep with
+    # the recursive evaluator, skipping instances with an undecided subterm
+    ident = Identity(lhs, rhs)
+    names = variables(ident)
+    n = len(table)
+    want = None
+    for vals in itertools.product(range(n), repeat=len(names)):
+        env = dict(zip(names, vals))
+        left = _eval_partial(lhs, env, table)
+        right = _eval_partial(rhs, env, table)
+        if left is not None and right is not None and left != right:
+            want = vals
+            break
+    assert _kernel_for(ident, partial=True)(table, n) == want
 
 
 def test_canonical_table_is_a_relabelling_invariant():
