@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
+from .errors import ResourceLimitError
 from .groupoid import FiniteGroupoid
 from .laws import eval_term, parse_term, require_aragb
 
@@ -144,6 +145,10 @@ def extend(base: FiniteGroupoid, designated: int = 0,
 
 _tower_cache: list[FiniteGroupoid] = []
 
+# Level 5 (order 1024, about a million cells) takes seconds to build; level 6
+# would check the defining laws at order 1024 and then hold 16.7 M cells.
+_MAX_LEVEL = 5
+
 
 def tower(n: int) -> tuple[FiniteGroupoid, ...]:
     """Levels 0..n of the iterated extension.
@@ -151,10 +156,16 @@ def tower(n: int) -> tuple[FiniteGroupoid, ...]:
     Level 0 is the one-element band, level 1 the standard order-4 model, and
     each later level extends the previous one at its first element with a
     generator named x1, x2, ...  Level k has order 4**k, and every level's
-    table is the top-left corner of the next one's.
+    table is the top-left corner of the next one's.  Levels above 5
+    raise ResourceLimitError before any work.
     """
     if n < 0:
         raise IndexError("tower levels start at 0")
+    if n > _MAX_LEVEL:
+        raise ResourceLimitError(
+            f"tower level {n} has order {4 ** n}; levels above "
+            f"{_MAX_LEVEL} (order {4 ** _MAX_LEVEL}) are not built"
+        )
     if not _tower_cache:
         _tower_cache.append(FiniteGroupoid(((0,),), ("a",)))
         _tower_cache.append(standard_g())
@@ -173,7 +184,8 @@ def limit_product(i: int, j: int) -> int:
     """Product of elements i and j of the union of all tower levels.
 
     Prefix compatibility makes this well defined: any level whose order
-    exceeds both indices gives the same answer.
+    exceeds both indices gives the same answer.  Indices of 1024 and up
+    need a level above 5 and raise ResourceLimitError.
     """
     if i < 0 or j < 0:
         raise IndexError("indices must be nonnegative")

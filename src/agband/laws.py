@@ -3,11 +3,17 @@
 An identity such as ``(xy)z = (zy)x`` quantifies implicitly over all of its
 variables.  Checking one against a finite table means sweeping every
 assignment of elements to variables.  ``check_identity`` compiles that sweep
-into a nest of ``for`` loops (one per variable, with repeated subproducts
-hoisted to the outermost loop that can compute them) instead of interpreting
-the terms inside the innermost loop; on tables of order 64 and up the
-difference is an order of magnitude.  The model search scans its partial
-tables, with ``None`` for undecided cells, through the same compiler.
+into a nest of ``for`` loops, one per variable, with repeated subproducts
+hoisted to the outermost loop that can compute them, instead of interpreting
+the terms inside the innermost loop.  On tables of order up to 256 the
+innermost variable is not a loop at all: it is swept as one ``bytes`` vector
+of all n elements, and each product with it in one factor is a single
+``bytes.translate`` through a row or column of the table, so the work per
+assignment runs in C.  Laws with a product of the innermost variable by
+itself (such as ``x = xx``), and tables above order 256, keep the scalar
+loop.  Both sweeps report the same lexicographically first counterexample.
+The model search scans its partial tables, with ``None`` for undecided
+cells, through the same compiler, always with the scalar loop.
 """
 
 from __future__ import annotations
@@ -200,50 +206,110 @@ _KERNELS: dict[tuple[str, bool], object] = {}
 
 
 def _compile_kernel(identity: Identity, partial: bool):
-    """Build ``_kernel(t, n) -> None | tuple`` for this identity's shape.
+    """Build the sweep for this identity's shape, returning the first failing
+    assignment as a tuple in variable order, or None.
 
-    With ``partial`` the table may hold ``None`` holes (the model search's
-    undecided cells); an instance with an undecided subterm cannot be
-    verified yet, so the generated ``_scan`` skips past it.
+    The full kernel is ``_kernel(t, n, lines)``.  With ``lines = (R, C)``,
+    the rows and columns of ``t`` as 256-byte translation tables, the
+    innermost variable ``w`` is swept as the vector ``bytes(range(n))``:
+    ``aw`` is row ``a`` and ``wb`` is column ``b``, any other product with
+    ``w`` in one factor becomes ``vec.translate(R[a])`` or
+    ``vec.translate(C[b])``, a side without ``w`` is repeated n times, and on
+    a mismatch the first differing byte gives ``w``.  Since ``w`` is the
+    innermost loop, that is the same assignment the scalar loop stops at.
+    A product with ``w`` in both factors, such as ``x = xx``, cannot be
+    lowered, and those kernels always loop on scalars; so do all kernels
+    given ``lines = None`` (tables of order above 256).
+
+    With ``partial`` the result is the model search's scanner
+    ``_scan(t, n)``: the table may hold ``None`` holes (undecided cells), an
+    instance with an undecided subterm cannot be verified yet, so the scan
+    skips past it.  It always loops on scalars.
     """
     order = variables(identity)
     level = {v: i for i, v in enumerate(order)}
-    temps: dict[tuple[str, str], tuple[str, int, str]] = {}
-    creation: list[tuple[str, str]] = []
-
-    def build(t: Term) -> tuple[str, int]:
-        if isinstance(t, Var):
-            return t.name, level[t.name]
-        le, ll = build(t.left)
-        re_, rl = build(t.right)
-        key = (le, re_)
-        lvl = max(ll, rl)
-        if key not in temps:
-            temps[key] = (f"_s{len(temps)}", lvl, f"t[{le}][{re_}]")
-            creation.append(key)
-        return temps[key][0], lvl
-
-    lexpr, _ = build(identity.lhs)
-    rexpr, _ = build(identity.rhs)
-
+    w = order[-1]
     pad = "    "
-    fname = "_scan" if partial else "_kernel"
-    lines = [f"def {fname}(t, n):"]
-    for lvl, var in enumerate(order):
-        lines.append(pad * (lvl + 1) + f"for {var} in range(n):")
-        for key in creation:
-            name, tl, expr = temps[key]
-            if tl == lvl:
-                body = pad * (lvl + 2)
-                lines.append(body + f"{name} = {expr}")
-                if partial:
-                    lines.append(body + f"if {name} is None: continue")
-    inner = pad * (len(order) + 1)
-    lines.append(inner + f"if {lexpr} != {rexpr}:")
-    lines.append(inner + pad + f"return ({', '.join(order)},)")
-    lines.append(pad + "return None")
+
+    def nest(vector: bool, indent: int) -> list[str] | None:
+        # subterms are hoisted to the outermost loop that can compute them;
+        # with ``vector`` the ones that depend on w are bytes of length n
+        names: dict[str, str] = {}
+        stmts: list[tuple[int, str, str]] = []
+
+        def temp(expr: str, lvl: int) -> str:
+            if expr not in names:
+                names[expr] = f"_s{len(names)}"
+                stmts.append((lvl, names[expr], expr))
+            return names[expr]
+
+        def lower(t: Term) -> tuple[str, int, bool] | None:
+            # -> (name, loop level, depends on w); None when w meets itself
+            if isinstance(t, Var):
+                if vector and t.name == w:
+                    return "_w", -1, True
+                return t.name, level[t.name], False
+            left, right = lower(t.left), lower(t.right)
+            if left is None or right is None or (left[2] and right[2]):
+                return None
+            (a, la, va), (b, lb, vb) = left, right
+            if a == "_w":
+                expr = f"C[{b}][:n]"
+            elif va:
+                expr = f"{a}.translate(C[{b}])"
+            elif b == "_w":
+                expr = f"R[{a}][:n]"
+            elif vb:
+                expr = f"{b}.translate(R[{a}])"
+            else:
+                expr = f"t[{a}][{b}]"
+            lvl = max(la, lb)
+            return temp(expr, lvl), lvl, va or vb
+
+        lhs, rhs = lower(identity.lhs), lower(identity.rhs)
+        if lhs is None or rhs is None:
+            return None
+        (a, la, va), (b, lb, vb) = lhs, rhs
+        if vector and not va:
+            a = temp(f"bytes(({a},)) * n", la)
+        if vector and not vb:
+            b = temp(f"bytes(({b},)) * n", lb)
+        code = []
+        if "_w" in (a, b):
+            code.append(pad * (indent + 1) + "_w = bytes(range(n))")
+        loops = order[:-1] if vector else order
+        for lvl, var in enumerate(loops):
+            code.append(pad * (indent + lvl + 1) + f"for {var} in range(n):")
+            body = pad * (indent + lvl + 2)
+            for tl, name, expr in stmts:
+                if tl == lvl:
+                    code.append(body + f"{name} = {expr}")
+                    if partial:
+                        code.append(body + f"if {name} is None: continue")
+        inner = pad * (indent + len(loops) + 1)
+        found = f"return ({', '.join(order)},)"
+        code.append(inner + f"if {a} != {b}:")
+        if vector:
+            code.append(inner + pad + f"for {w} in range(n):")
+            code.append(inner + pad * 2 + f"if {a}[{w}] != {b}[{w}]:")
+            code.append(inner + pad * 3 + found)
+        else:
+            code.append(inner + pad + found)
+        code.append(pad * (indent + 1) + "return None")
+        return code
+
+    if partial:
+        fname, src = "_scan", ["def _scan(t, n):"] + nest(False, 0)
+    else:
+        fname, src = "_kernel", ["def _kernel(t, n, lines):"]
+        vec = nest(True, 0)
+        if vec is None:
+            src += nest(False, 0)
+        else:
+            src += [pad + "if lines is None:"] + nest(False, 1)
+            src += [pad + "R, C = lines"] + vec
     ns: dict = {}
-    exec("\n".join(lines), ns)  # noqa: S102 - source is generated above
+    exec("\n".join(src), ns)  # noqa: S102 - source is generated above
     return ns[fname]
 
 
@@ -255,9 +321,25 @@ def _kernel_for(identity: Identity, partial: bool = False):
     return kern
 
 
-def check_identity(g, identity: Identity) -> IdentityReport:
+def _byte_lines(g):
+    """The rows and columns of g's table as 256-byte ``bytes.translate``
+    tables, or None above order 256, where the kernels loop on scalars."""
+    n = g.order
+    if n > 256:
+        return None
+    fill = bytes(256 - n)
+    return ([bytes(row) + fill for row in g.table],
+            [bytes(col) + fill for col in zip(*g.table)])
+
+
+def check_identity(g, identity: Identity, _lines=None) -> IdentityReport:
+    """Sweep every assignment in lexicographic order and report the first
+    failing one.  ``_lines`` is ``_byte_lines(g)`` when the caller already
+    built it, as check_variety does for all of its identities."""
     names = variables(identity)
-    bad = _kernel_for(identity)(g.table, g.order)
+    if _lines is None:
+        _lines = _byte_lines(g)
+    bad = _kernel_for(identity)(g.table, g.order, _lines)
     if bad is None:
         return IdentityReport(identity, True, None, g.order ** len(names))
     rank = 0
@@ -291,7 +373,8 @@ class VarietyReport:
 
 
 def check_variety(g, spec: VarietySpec) -> VarietyReport:
-    reports = tuple(check_identity(g, idy) for idy in spec.identities)
+    lines = _byte_lines(g)
+    reports = tuple(check_identity(g, idy, lines) for idy in spec.identities)
     return VarietyReport(spec.name, all(r.holds for r in reports), reports)
 
 

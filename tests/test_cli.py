@@ -207,6 +207,20 @@ def test_limit_product_rejects_negative_indices(capsys):
     assert run(["limit-product", "--", "-1", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit-product", "1024", "0"],
+        ["build", "gn", "--n", "6"],
+        ["build", "j", "--n", "5"],
+        ["decompose", "extension", "--n", "6"],
+    ],
+)
+def test_commands_needing_tower_level_six_are_refused(argv, capsys):
+    assert run(argv) == 2
+    assert "tower level 6" in capsys.readouterr().err
+
+
 def test_verify_paper_single_claim(capsys):
     assert run(["verify-paper", "--only", "corollary-2"]) == 0
     doc = out_json(capsys)

@@ -16,7 +16,8 @@ from agband.construct import (
     tower_element,
     tower_level,
 )
-from agband.errors import VarietyError
+from agband import construct
+from agband.errors import ResourceLimitError, VarietyError
 from agband.groupoid import FiniteGroupoid
 from agband.laws import check_variety, get_variety
 from agband.morphisms import iso_search
@@ -89,6 +90,15 @@ def test_tower_levels_nest_as_prefixes():
 def test_tower_level_rejects_negative_levels():
     with pytest.raises(IndexError):
         tower_level(-1)
+
+
+def test_tower_refuses_levels_above_five_before_building():
+    built = len(construct._tower_cache)
+    for call in (lambda: tower(6), lambda: tower_level(7),
+                 lambda: limit_product(1024, 0), lambda: j_subband(5)):
+        with pytest.raises(ResourceLimitError, match="tower level"):
+            call()
+    assert len(construct._tower_cache) == built
 
 
 def test_tower_element_addressing():

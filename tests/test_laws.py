@@ -3,16 +3,22 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from agband.construct import tower_level
 from agband.errors import ParseError
 from agband.groupoid import FiniteGroupoid
 from agband.laws import (
     ANTI_RECTANGULAR,
     IDEMPOTENT,
     LEFT_INVERTIVE,
+    MEDIAL,
+    VARIETIES,
     Identity,
+    IdentityReport,
     Prod,
     Var,
     VarietySpec,
+    _byte_lines,
+    _kernel_for,
     alpha_key,
     check_identity,
     check_variety,
@@ -92,22 +98,128 @@ def test_alpha_key_ignores_names_but_not_shape():
 # --- evaluation and checking -------------------------------------------------
 
 
+def reference_report(g, ident):
+    """Lexicographic eval_term sweep: the first failing assignment and its
+    1-based rank, or every assignment counted when the identity holds."""
+    names = variables(ident)
+    sweep = itertools.product(range(g.order), repeat=len(names))
+    for rank, vals in enumerate(sweep, 1):
+        env = dict(zip(names, vals))
+        if eval_term(ident.lhs, g.table, env) != eval_term(ident.rhs, g.table, env):
+            return IdentityReport(ident, False, env, rank)
+    return IdentityReport(ident, True, None, g.order ** len(names))
+
+
+def lowers_to_vectors(ident):
+    return "translate" in _kernel_for(ident).__code__.co_names
+
+
+PRESET_LAWS = tuple(
+    {idy: None for spec in VARIETIES.values() for idy in spec.identities}
+)
+# w meets itself in a product, so these keep the scalar loop
+SELF_PRODUCT_LAWS = tuple(
+    parse_identity(s)
+    for s in ("(xy)(yy) = x", "(xy)(zy) = (xz)(zy)", "x(yy) = (xy)y")
+)
+
+
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(1, 5))
+    cell = st.integers(0, n - 1)
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return FiniteGroupoid(tuple(map(tuple, rows)))
+
+
+@st.composite
+def corrupted_levels(draw):
+    g = tower_level(draw(st.integers(1, 2)))
+    n = g.order
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    v = draw(st.integers(0, n - 1).filter(lambda v: v != g.table[i][j]))
+    table = [list(row) for row in g.table]
+    table[i][j] = v
+    return FiniteGroupoid(tuple(map(tuple, table)))
+
+
+parsed_identities = st.tuples(terms(), terms()).map(
+    lambda p: parse_identity(str(Identity(*p)))
+)
+
+
 @given(terms())
 @settings(max_examples=30)
 def test_compiled_kernel_agrees_with_recursive_evaluator(lhs):
-    # compare the generated checker with eval_term on every assignment of a
-    # fixed order-3 table
-    rhs = Var("w")
-    ident = Identity(lhs, rhs)
-    table = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
-    g = FiniteGroupoid(table=table)
-    names = variables(ident)
-    holds = all(
-        eval_term(lhs, table, dict(zip(names, vals)))
-        == eval_term(rhs, table, dict(zip(names, vals)))
-        for vals in itertools.product(range(3), repeat=len(names))
-    )
-    assert check_identity(g, ident).holds == holds
+    # the whole report, counterexample and rank included, on a fixed
+    # order-3 table
+    ident = Identity(lhs, Var("w"))
+    g = FiniteGroupoid(table=((0, 2, 1), (2, 1, 0), (1, 0, 2)))
+    assert check_identity(g, ident) == reference_report(g, ident)
+
+
+@given(
+    random_tables(),
+    st.one_of(st.sampled_from(PRESET_LAWS + SELF_PRODUCT_LAWS),
+              parsed_identities),
+)
+@settings(max_examples=60, deadline=None)
+def test_check_identity_report_matches_eval_term_sweep(g, ident):
+    assert check_identity(g, ident) == reference_report(g, ident)
+
+
+# laws of the tower levels; one corrupted cell breaks them at a rank that
+# depends on the cell
+TOWER_LAWS = (LEFT_INVERTIVE, IDEMPOTENT, ANTI_RECTANGULAR, MEDIAL,
+              parse_identity("(xy)(yy) = xy"))
+
+
+@given(corrupted_levels(), st.sampled_from(TOWER_LAWS))
+@settings(max_examples=40, deadline=None)
+def test_corrupted_tower_level_reports_match_eval_term_sweep(g, ident):
+    assert check_identity(g, ident) == reference_report(g, ident)
+
+
+@given(st.one_of(random_tables(), corrupted_levels()))
+@settings(max_examples=25, deadline=None)
+def test_check_variety_reports_match_eval_term_sweeps(g):
+    # check_variety shares one set of byte rows and columns across its laws
+    for spec in VARIETIES.values():
+        want = tuple(reference_report(g, idy) for idy in spec.identities)
+        assert check_variety(g, spec).reports == want
+
+
+def test_presets_that_lower_to_byte_vectors():
+    lowered = {str(idy) for idy in PRESET_LAWS if lowers_to_vectors(idy)}
+    assert lowered == {"(xy)z = (zy)x", "(xy)x = y", "(xy)(zw) = (xz)(yw)",
+                       "(xy)(yz) = y"}
+    assert not any(lowers_to_vectors(idy) for idy in SELF_PRODUCT_LAWS)
+
+
+def test_order_above_256_keeps_the_scalar_loop():
+    # x*y = -x-y mod 257 satisfies (xy)x = y; one late corrupted cell breaks it
+    n = 257
+    rows = [[(-x - y) % n for y in range(n)] for x in range(n)]
+    good = FiniteGroupoid(tuple(map(tuple, rows)))
+    rows[200][3] = (rows[200][3] + 1) % n
+    bad = FiniteGroupoid(tuple(map(tuple, rows)))
+    assert lowers_to_vectors(ANTI_RECTANGULAR)
+    assert _byte_lines(good) is None
+    for g in (good, bad):
+        assert check_identity(g, ANTI_RECTANGULAR) == reference_report(g, ANTI_RECTANGULAR)
+    assert not check_identity(bad, ANTI_RECTANGULAR).holds
+
+
+def test_idempotency_keeps_the_scalar_loop_at_order_64():
+    assert not lowers_to_vectors(IDEMPOTENT)
+    g = tower_level(3)
+    rows = [list(row) for row in g.table]
+    rows[40][40] = 0
+    bad = FiniteGroupoid(tuple(map(tuple, rows)))
+    for h in (g, bad):
+        assert check_identity(h, IDEMPOTENT) == reference_report(h, IDEMPOTENT)
+    assert check_identity(bad, IDEMPOTENT).counterexample == {"x": 40}
 
 
 def test_check_identity_counts_assignments():
