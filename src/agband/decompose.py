@@ -147,12 +147,23 @@ def extension_block_decomposition(n: int) -> BandDecomposition:
     return outcome
 
 
+_GCOPIES_SPAN_LIMIT = 200_000
+
+
 def g_copy_partition(g: FiniteGroupoid) -> Partition:
     """Partition a band of order 4**n into order-4 generated sub-bands.
 
-    Deterministic: always takes the least uncovered element and the least
-    partner whose generated copy stays inside the uncovered region,
+    Deterministic: always takes the least uncovered element c and the least
+    partner d whose generated copy <c, d> stays inside the uncovered region,
     backtracking chronologically when a choice strands the remainder.
+
+    Each distinct 4-element copy through c is tried once per search node:
+    a partner inside an already spanned 4-element copy S spans a closed
+    subset of S, so either S again (the same subtree, or the same refusal)
+    or fewer than 4 elements, and it is skipped without spanning.  The
+    search still backtracks, and on some relabellings of order 256 it stays
+    exponential, so above ``_GCOPIES_SPAN_LIMIT`` spans it gives up with
+    ResourceLimitError.
     """
     n = g.order
     power = 4
@@ -164,16 +175,28 @@ def g_copy_partition(g: FiniteGroupoid) -> Partition:
 
     blocks: list[tuple[int, ...]] = []
     uncovered = set(range(n))
+    spans = 0
 
     def place() -> bool:
+        nonlocal spans
         if not uncovered:
             return True
         c = min(uncovered)
+        tried = {c}
         for d in sorted(uncovered):
-            if d == c:
+            if d in tried:
                 continue
+            spans += 1
+            if spans > _GCOPIES_SPAN_LIMIT:
+                raise ResourceLimitError(
+                    "no partition into order-4 copies found within "
+                    f"{_GCOPIES_SPAN_LIMIT} spans at order {n}"
+                )
             copy = g.generated_subgroupoid({c, d})
-            if len(copy) != 4 or not copy <= uncovered:
+            if len(copy) != 4:
+                continue
+            tried |= copy
+            if not copy <= uncovered:
                 continue
             block = tuple(sorted(copy))
             blocks.append(block)

@@ -19,6 +19,7 @@ cells, through the same compiler, always with the scalar loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParseError, VarietyError
 
@@ -313,7 +314,10 @@ def _compile_kernel(identity: Identity, partial: bool):
     return ns[fname]
 
 
+@lru_cache(maxsize=None)
 def _kernel_for(identity: Identity, partial: bool = False):
+    # memoised on the identity itself, whose hash is cheaper than alpha_key;
+    # alpha-equivalent identities still share one kernel through _KERNELS
     key = (alpha_key(identity), partial)
     kern = _KERNELS.get(key)
     if kern is None:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -144,6 +145,20 @@ def test_decompose_gcopies_and_extension(g_file, capsys):
     assert run(["decompose", "extension", "--n", "2"]) == 0
     doc = out_json(capsys)
     assert len(doc["blocks"]) == 4
+
+
+def test_decompose_gcopies_over_the_span_limit_exits_two(tmp_path, capsys,
+                                                       monkeypatch):
+    from agband import decompose
+    from agband.construct import tower_level
+
+    monkeypatch.setattr(decompose, "_GCOPIES_SPAN_LIMIT", 100)
+    perm = list(range(64))
+    random.Random(1).shuffle(perm)
+    path = tmp_path / "l3.json"
+    path.write_text(to_json(tower_level(3).relabel(tuple(perm))))
+    assert run(["decompose", "gcopies", str(path)]) == 2
+    assert "100 spans" in capsys.readouterr().err
 
 
 def test_spectrum_scan_json(capsys):

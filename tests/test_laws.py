@@ -95,6 +95,22 @@ def test_alpha_key_ignores_names_but_not_shape():
     assert alpha_key(parse_identity("x(yx) = y")) != alpha_key(ANTI_RECTANGULAR)
 
 
+def test_alpha_equivalent_identities_share_one_kernel():
+    a = parse_identity("(xy)z = (zy)x")
+    b = parse_identity("(ab)c = (cb)a")
+    assert a != b and alpha_key(a) == alpha_key(b)
+    assert _kernel_for(a) is _kernel_for(b)
+    assert _kernel_for(a, partial=True) is _kernel_for(b, partial=True)
+    assert _kernel_for(a) is not _kernel_for(a, partial=True)
+    # each report still names the identity and the variables it was given
+    right_zero = FiniteGroupoid(table=((0, 1), (0, 1)))
+    for ident, names in ((a, "xyz"), (b, "abc")):
+        report = check_identity(right_zero, ident)
+        assert report.identity is ident
+        assert report.counterexample == dict(zip(names, (0, 0, 1)))
+        assert report.assignments == 2
+
+
 # --- evaluation and checking -------------------------------------------------
 
 
