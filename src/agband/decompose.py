@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
 from .laws import require_aragb
-from .morphisms import MapKind, iso_search
+from .morphisms import MapKind, canonical_iso, iso_search
 
 
 @dataclass(frozen=True)
@@ -147,79 +147,29 @@ def extension_block_decomposition(n: int) -> BandDecomposition:
     return outcome
 
 
-_GCOPIES_SPAN_LIMIT = 200_000
-
-
 def g_copy_partition(g: FiniteGroupoid) -> Partition:
     """Partition a band of order 4**n into order-4 generated sub-bands.
 
-    Deterministic: always takes the least uncovered element c and the least
-    partner d whose generated copy <c, d> stays inside the uncovered region,
-    backtracking chronologically when a choice strands the remainder.
-
-    Each distinct 4-element copy through c is tried once per search node:
-    a partner inside an already spanned 4-element copy S spans a closed
-    subset of S, so either S again (the same subtree, or the same refusal)
-    or fewer than 4 elements, and it is skipped without spanning.  The
-    search still backtracks, and on some relabellings of order 256 it stays
-    exponential, so above ``_GCOPIES_SPAN_LIMIT`` spans it gives up with
-    ResourceLimitError.
+    On the tower level the blocks {4k, ..., 4k+3} are such copies: each
+    quarter of an extension is an index-offset copy of the previous level,
+    since the diagonal cells of ``extend`` are m[i][j].  The blocks of g are
+    their preimages under ``canonical_iso(g)``, which raises for orders
+    that are not a power of 4 and for inputs outside the variety.  Each
+    block is sorted, the blocks are ordered by least element, and every
+    block is checked isomorphic to the order-4 model.
     """
-    n = g.order
-    power = 4
-    while power < n:
-        power *= 4
-    if power != n or n < 4:
-        raise ValueError(f"order {n} is not 4**n for some n >= 1")
-    require_aragb(g, "input")
-
-    blocks: list[tuple[int, ...]] = []
-    uncovered = set(range(n))
-    spans = 0
-
-    def place() -> bool:
-        nonlocal spans
-        if not uncovered:
-            return True
-        c = min(uncovered)
-        tried = {c}
-        for d in sorted(uncovered):
-            if d in tried:
-                continue
-            spans += 1
-            if spans > _GCOPIES_SPAN_LIMIT:
-                raise ResourceLimitError(
-                    "no partition into order-4 copies found within "
-                    f"{_GCOPIES_SPAN_LIMIT} spans at order {n}"
-                )
-            copy = g.generated_subgroupoid({c, d})
-            if len(copy) != 4:
-                continue
-            tried |= copy
-            if not copy <= uncovered:
-                continue
-            block = tuple(sorted(copy))
-            blocks.append(block)
-            uncovered.difference_update(copy)
-            if place():
-                return True
-            blocks.pop()
-            uncovered.update(copy)
-        return False
-
-    if not place():
-        raise SearchInvariantError(
-            "no partition into 4-element generated copies exists; this "
-            "contradicts the structure theory for these bands"
-        )
     from .construct import standard_g
 
+    blocks: list[list[int]] = [[] for _ in range(g.order // 4)]
+    for e, image in enumerate(canonical_iso(g).images):
+        blocks[image // 4].append(e)
+    blocks.sort()
     for block in blocks:
         if iso_search(g.restrict(block), standard_g()) is None:
             raise SearchInvariantError(
-                f"block {block} is not isomorphic to the order-4 model"
+                f"block {tuple(block)} is not isomorphic to the order-4 model"
             )
-    return Partition(tuple(blocks))
+    return Partition(tuple(tuple(block) for block in blocks))
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,8 @@ def from_json(text: str) -> FiniteGroupoid:
         raise ValueError('expected an object with "order", "labels" and "table"')
     if type(doc["order"]) is not int:
         raise ValueError(f'"order" must be an integer, got {doc["order"]!r}')
+    if type(doc["labels"]) is not list or any(type(s) is not str for s in doc["labels"]):
+        raise ValueError('"labels" must be a list of strings')
     g = FiniteGroupoid(table=doc["table"], labels=doc["labels"])
     if g.order != doc["order"]:
         raise ValueError(f'"order" is {doc["order"]} but the table has {g.order} rows')

@@ -147,18 +147,22 @@ def test_decompose_gcopies_and_extension(g_file, capsys):
     assert len(doc["blocks"]) == 4
 
 
-def test_decompose_gcopies_over_the_span_limit_exits_two(tmp_path, capsys,
-                                                       monkeypatch):
-    from agband import decompose
+def test_decompose_gcopies_on_a_relabelled_order_256_table(tmp_path, capsys):
     from agband.construct import tower_level
+    from agband.search import canonical_table
 
-    monkeypatch.setattr(decompose, "_GCOPIES_SPAN_LIMIT", 100)
-    perm = list(range(64))
-    random.Random(1).shuffle(perm)
-    path = tmp_path / "l3.json"
-    path.write_text(to_json(tower_level(3).relabel(tuple(perm))))
-    assert run(["decompose", "gcopies", str(path)]) == 2
-    assert "100 spans" in capsys.readouterr().err
+    perm = list(range(256))
+    random.Random(0).shuffle(perm)
+    g = tower_level(4).relabel(tuple(perm))
+    path = tmp_path / "l4.json"
+    path.write_text(to_json(g))
+    assert run(["decompose", "gcopies", str(path)]) == 0
+    blocks = out_json(capsys)["blocks"]
+    assert len(blocks) == 64
+    assert sorted(e for block in blocks for e in block) == list(range(256))
+    g_canonical = canonical_table(standard_g().table)
+    for block in blocks:
+        assert canonical_table(g.restrict(block).table) == g_canonical
 
 
 def test_spectrum_scan_json(capsys):
@@ -252,6 +256,16 @@ def test_stdin_input(capsys, monkeypatch):
 
     monkeypatch.setattr("sys.stdin", io.StringIO(to_json(standard_g())))
     assert run(["check", "-", "--variety", "aragb"]) == 0
+
+
+@pytest.mark.parametrize("labels", ["ab", [None, 1]])
+def test_check_rejects_labels_that_are_not_strings_as_usage_error(
+        capsys, tmp_path, labels):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"order": 2, "labels": labels, "table": [[0, 0], [0, 0]]}))
+    assert run(["check", str(path)]) == 2
+    assert '"labels" must be a list of strings' in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -159,6 +159,16 @@ def test_from_json_rejects_a_non_integer_order(order, table):
         from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("labels", ["abcd", [None, 1, True, {}], ["a", "b", "c", 3]])
+def test_from_json_rejects_labels_that_are_not_a_list_of_strings(labels):
+    doc = json.loads(to_json(FiniteGroupoid(table=((0,) * 4,) * 4)))
+    doc["labels"] = labels
+    with pytest.raises(ValueError, match='"labels" must be a list of strings'):
+        from_json(json.dumps(doc))
+    # the constructor still takes any iterable and renders its items
+    assert FiniteGroupoid(table=((0, 0), (0, 0)), labels="ab").labels == ("a", "b")
+
+
 def test_render_text_aligns_columns():
     text = render_text(Z3)
     lines = text.splitlines()
