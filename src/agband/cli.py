@@ -200,6 +200,8 @@ def _cmd_decompose(args) -> int:
     else:
         g = _read_groupoid(args.input)
         blocks = json.loads(args.partition)
+        if type(blocks) is not list or any(type(b) is not list for b in blocks):
+            raise ValueError("--partition must be a JSON list of lists")
         outcome = check_band_decomposition(
             g, Partition(tuple(tuple(b) for b in blocks))
         )

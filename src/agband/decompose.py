@@ -26,6 +26,8 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if any(type(e) is not int for block in self.blocks for e in block):
+            raise ValueError("block elements must be integers")
         blocks = tuple(tuple(sorted(block)) for block in self.blocks)
         if not blocks or any(not block for block in blocks):
             raise ValueError("blocks must be nonempty")

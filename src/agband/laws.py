@@ -12,8 +12,9 @@ of all n elements, and each product with it in one factor is a single
 assignment runs in C.  Laws with a product of the innermost variable by
 itself (such as ``x = xx``), and tables above order 256, keep the scalar
 loop.  Both sweeps report the same lexicographically first counterexample.
-The model search scans its partial tables, with ``None`` for undecided
-cells, through the same compiler, always with the scalar loop.
+The same compiler builds the model search's delta scanners: on a partial
+table, with ``None`` for undecided cells, they re-check only the instances
+that read one given cell, always with scalar loops.
 """
 
 from __future__ import annotations
@@ -207,34 +208,49 @@ _KERNELS: dict[tuple[str, bool], object] = {}
 
 
 def _compile_kernel(identity: Identity, partial: bool):
-    """Build the sweep for this identity's shape, returning the first failing
-    assignment as a tuple in variable order, or None.
+    """Build the checker for this identity's shape.
 
-    The full kernel is ``_kernel(t, n, lines)``.  With ``lines = (R, C)``,
-    the rows and columns of ``t`` as 256-byte translation tables, the
-    innermost variable ``w`` is swept as the vector ``bytes(range(n))``:
-    ``aw`` is row ``a`` and ``wb`` is column ``b``, any other product with
-    ``w`` in one factor becomes ``vec.translate(R[a])`` or
-    ``vec.translate(C[b])``, a side without ``w`` is repeated n times, and on
-    a mismatch the first differing byte gives ``w``.  Since ``w`` is the
-    innermost loop, that is the same assignment the scalar loop stops at.
-    A product with ``w`` in both factors, such as ``x = xx``, cannot be
-    lowered, and those kernels always loop on scalars; so do all kernels
-    given ``lines = None`` (tables of order above 256).
+    The full kernel is ``_kernel(t, n, lines)``: it sweeps every assignment
+    in lexicographic order and returns the first failing one as a tuple in
+    variable order, or None.  With ``lines = (R, C)``, the rows and columns
+    of ``t`` as 256-byte translation tables, the innermost variable ``w`` is
+    swept as the vector ``bytes(range(n))``: ``aw`` is row ``a`` and ``wb``
+    is column ``b``, any other product with ``w`` in one factor becomes
+    ``vec.translate(R[a])`` or ``vec.translate(C[b])``, a side without
+    ``w`` is repeated n times, and on a mismatch the first differing byte
+    gives ``w``.  Since ``w`` is the innermost loop, that is the same
+    assignment the scalar loop stops at.  A product with ``w`` in both
+    factors, such as ``x = xx``, cannot be lowered, and those kernels
+    always loop on scalars; so do all kernels given ``lines = None``
+    (tables of order above 256).
 
-    With ``partial`` the result is the model search's scanner
-    ``_scan(t, n)``: the table may hold ``None`` holes (undecided cells), an
-    instance with an undecided subterm cannot be verified yet, so the scan
-    skips past it.  It always loops on scalars.
+    With ``partial`` the result is the model search's delta scanner
+    ``_scan(t, n, by_value, i, j)``.  The table may hold ``None`` holes
+    (undecided cells), and ``by_value[k]`` lists the decided cells holding
+    ``k``.  It returns a failing instance, as a tuple in variable order,
+    among the instances that read the decided cell ``(i, j)``, skipping
+    those with an undecided subterm, or None.  An instance reads ``(i, j)``
+    exactly when some product in the identity has operands that evaluate
+    to ``i`` and ``j``, so there is one block per distinct product, and
+    each pins that product's operands: a variable is bound to the value
+    (or compared with it, when already bound), a compound operand runs
+    over ``by_value`` of the value and pins its own factors to the cell's
+    row and column.  The variables still free loop over ``range(n)``.
+
+    Generated names other than the law's variables start with an
+    underscore, so they never clash with a variable (a lowercase letter).
     """
     order = variables(identity)
-    level = {v: i for i, v in enumerate(order)}
     w = order[-1]
     pad = "    "
 
-    def nest(vector: bool, indent: int) -> list[str] | None:
-        # subterms are hoisted to the outermost loop that can compute them;
-        # with ``vector`` the ones that depend on w are bytes of length n
+    def nest(steps, known, vector: bool) -> list[str] | None:
+        # ``steps`` are (line, opens a block, variables it binds), in order;
+        # ``known`` maps subterms to the (expression, step) that gives their
+        # value.  Every other subterm is hoisted to the first step after
+        # which it can be computed; with ``vector`` the ones that depend on
+        # w are bytes of length n
+        level = {v: k for k, (_, _, bound) in enumerate(steps) for v in bound}
         names: dict[str, str] = {}
         stmts: list[tuple[int, str, str]] = []
 
@@ -245,7 +261,9 @@ def _compile_kernel(identity: Identity, partial: bool):
             return names[expr]
 
         def lower(t: Term) -> tuple[str, int, bool] | None:
-            # -> (name, loop level, depends on w); None when w meets itself
+            # -> (name, step, depends on w); None when w meets itself
+            if t in known:
+                return known[t] + (False,)
             if isinstance(t, Var):
                 if vector and t.name == w:
                     return "_w", -1, True
@@ -255,15 +273,15 @@ def _compile_kernel(identity: Identity, partial: bool):
                 return None
             (a, la, va), (b, lb, vb) = left, right
             if a == "_w":
-                expr = f"C[{b}][:n]"
+                expr = f"C[{b}][:_n]"
             elif va:
                 expr = f"{a}.translate(C[{b}])"
             elif b == "_w":
-                expr = f"R[{a}][:n]"
+                expr = f"R[{a}][:_n]"
             elif vb:
                 expr = f"{b}.translate(R[{a}])"
             else:
-                expr = f"t[{a}][{b}]"
+                expr = f"_t[{a}][{b}]"
             lvl = max(la, lb)
             return temp(expr, lvl), lvl, va or vb
 
@@ -272,43 +290,93 @@ def _compile_kernel(identity: Identity, partial: bool):
             return None
         (a, la, va), (b, lb, vb) = lhs, rhs
         if vector and not va:
-            a = temp(f"bytes(({a},)) * n", la)
+            a = temp(f"bytes(({a},)) * _n", la)
         if vector and not vb:
-            b = temp(f"bytes(({b},)) * n", lb)
+            b = temp(f"bytes(({b},)) * _n", lb)
         code = []
+        depth = 1
         if "_w" in (a, b):
-            code.append(pad * (indent + 1) + "_w = bytes(range(n))")
-        loops = order[:-1] if vector else order
-        for lvl, var in enumerate(loops):
-            code.append(pad * (indent + lvl + 1) + f"for {var} in range(n):")
-            body = pad * (indent + lvl + 2)
+            code.append(pad + "_w = bytes(range(_n))")
+        for k in range(-1, len(steps)):
+            if k >= 0:
+                line, opens, _ = steps[k]
+                code.append(pad * depth + line)
+                depth += opens
             for tl, name, expr in stmts:
-                if tl == lvl:
-                    code.append(body + f"{name} = {expr}")
+                if tl == k:
+                    code.append(pad * depth + f"{name} = {expr}")
                     if partial:
-                        code.append(body + f"if {name} is None: continue")
-        inner = pad * (indent + len(loops) + 1)
+                        code.append(pad * depth + f"if {name} is not None:")
+                        depth += 1
+        inner = pad * depth
         found = f"return ({', '.join(order)},)"
         code.append(inner + f"if {a} != {b}:")
         if vector:
-            code.append(inner + pad + f"for {w} in range(n):")
+            code.append(inner + pad + f"for {w} in range(_n):")
             code.append(inner + pad * 2 + f"if {a}[{w}] != {b}[{w}]:")
             code.append(inner + pad * 3 + found)
         else:
             code.append(inner + pad + found)
-        code.append(pad * (indent + 1) + "return None")
         return code
 
+    def loops(names) -> list[tuple[str, bool, tuple[str, ...]]]:
+        return [(f"for {v} in range(_n):", True, (v,)) for v in names]
+
+    def delta(prod: Prod) -> list[str]:
+        # the instances in which ``prod`` reads cell (_i, _j)
+        steps: list[tuple[str, bool, tuple[str, ...]]] = []
+        known = {prod: ("_v", -1)}
+
+        def bound(name: str) -> bool:
+            return any(name in names for _, _, names in steps)
+
+        def pin(t: Term, val: str) -> None:
+            if isinstance(t, Var):
+                if bound(t.name):
+                    steps.append((f"if {t.name} == {val}:", True, ()))
+                else:
+                    steps.append((f"{t.name} = {val}", False, (t.name,)))
+                return
+            k = len(steps)
+            row, col = f"_r{k}", f"_c{k}"
+            steps.append((f"for {row}, {col} in _by_value[{val}]:", True, ()))
+            known[t] = (val, k)
+            pin_factors(t, row, col)
+
+        def pin_factors(p: Prod, left: str, right: str) -> None:
+            # variables first, so that compound factors loop innermost
+            pairs = ((p.left, left), (p.right, right))
+            for sub, val in sorted(pairs, key=lambda sv: isinstance(sv[0], Prod)):
+                pin(sub, val)
+
+        pin_factors(prod, "_i", "_j")
+        steps += loops([v for v in order if not bound(v)])
+        return nest(steps, known, False)
+
+    def products(t: Term) -> list[Prod]:
+        if isinstance(t, Var):
+            return []
+        return [t] + products(t.left) + products(t.right)
+
     if partial:
-        fname, src = "_scan", ["def _scan(t, n):"] + nest(False, 0)
+        fname = "_scan"
+        src = ["def _scan(_t, _n, _by_value, _i, _j):",
+               pad + "_v = _t[_i][_j]",
+               pad + "if _v is None:",
+               pad * 2 + "return None"]
+        for prod in dict.fromkeys(products(identity.lhs) + products(identity.rhs)):
+            src += delta(prod)
     else:
-        fname, src = "_kernel", ["def _kernel(t, n, lines):"]
-        vec = nest(True, 0)
+        fname, src = "_kernel", ["def _kernel(_t, _n, _lines):"]
+        vec = nest(loops(order[:-1]), {}, True)
+        scalar = nest(loops(order), {}, False)
         if vec is None:
-            src += nest(False, 0)
+            src += scalar
         else:
-            src += [pad + "if lines is None:"] + nest(False, 1)
-            src += [pad + "R, C = lines"] + vec
+            src += [pad + "if _lines is None:"]
+            src += [pad + line for line in scalar] + [pad * 2 + "return None"]
+            src += [pad + "R, C = _lines"] + vec
+    src.append(pad + "return None")
     ns: dict = {}
     exec("\n".join(src), ns)  # noqa: S102 - source is generated above
     return ns[fname]

@@ -4,10 +4,12 @@ Backtracking over Cayley-table cells in row-major order.  After each
 assignment the search propagates: idempotency fixes the diagonal up front,
 the law (xy)x = y forces table[k][i] = j whenever table[i][j] = k, varieties
 containing that law get row/column all-different pruning (it implies both
-cancellation properties), and every ground instance of the remaining
-identities is re-checked as soon as its cells are decided.  Symmetry is
-broken by a first-row lex constraint during search plus exact
-canonicalization over all relabelings at the leaves for orders up to 8.
+cancellation properties), and the ground instances of the remaining
+identities that read a newly decided cell are re-checked at once, by the
+delta scanners of ``laws._compile_kernel``; every other instance was
+already checked or is still undecided.  Symmetry is broken by a first-row
+lex constraint during search plus exact canonicalization over all
+relabelings at the leaves for orders up to 8.
 
 Orders 9..16 run in witness mode only: a limit is required, found tables
 are re-verified but not canonicalized, so duplicates up to isomorphism may
@@ -185,6 +187,7 @@ def enumerate_models(
     row_mask = [0] * n
     col_mask = [0] * n
     trail: list[tuple[int, int]] = []
+    by_value: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     nodes = 0
     failures = 0
     models: list[FiniteGroupoid] = []
@@ -211,6 +214,7 @@ def enumerate_models(
                 queue.append((x, a, b))
             table[a][b] = x
             trail.append((a, b))
+            by_value[x].append((a, b))
             if a == 0:
                 row0_holes -= 1
         return True
@@ -221,6 +225,7 @@ def enumerate_models(
             a, b = trail.pop()
             x = table[a][b]
             table[a][b] = None
+            by_value[x].pop()
             if has_forcing:
                 bit = ~(1 << x)
                 row_mask[a] &= bit
@@ -228,10 +233,13 @@ def enumerate_models(
             if a == 0:
                 row0_holes += 1
 
-    def consistent() -> bool:
-        for scan in scanners:
-            if scan(table, n) is not None:
-                return False
+    def consistent(mark: int) -> bool:
+        # the state before ``mark`` was consistent, so a failing instance
+        # now must read a cell decided since
+        for a, b in trail[mark:]:
+            for scan in scanners:
+                if scan(table, n, by_value, a, b) is not None:
+                    return False
         if row0_holes == 0 and not witness_mode:
             key = tuple(table[0])
             ok = row0_memo.get(key)
@@ -279,20 +287,26 @@ def enumerate_models(
                 continue
             mark = len(trail)
             nodes += 1
-            if assign(i, j, val) and consistent():
+            if assign(i, j, val) and consistent(mark):
                 dfs(pos + 1)
             else:
                 failures += 1
             undo(mark)
 
     try:
-        feasible = True
-        if has_idem:
+        # the scanners see instances through the cells they read; those of a
+        # law without products (x = y) read none and are decided up front
+        feasible = n == 1 or all(
+            ident.lhs == ident.rhs
+            for ident in v.identities
+            if isinstance(ident.lhs, Var) and isinstance(ident.rhs, Var)
+        )
+        if has_idem and feasible:
             for i in range(n):
                 if not assign(i, i, i):
                     feasible = False
                     break
-        if feasible and consistent():
+        if feasible and consistent(0):
             dfs(0)
     except _StopSearch:
         pass

@@ -138,6 +138,31 @@ def test_decompose_blocks_smearing_partition_fails(g_file, capsys):
     assert "NOT_A_DECOMPOSITION" in capsys.readouterr().err
 
 
+QUARTERS = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        5,
+        QUARTERS[:3] + [[12, 13, 14, "x"]],
+        [[0, 1.0, 2, 3]] + QUARTERS[1:],
+        [[0, True, 2, 3]] + QUARTERS[1:],
+        [0, 1, 2, 3],
+        {"0": [0]},
+    ],
+)
+def test_decompose_blocks_rejects_malformed_partitions(tmp_path, capsys, blocks):
+    from agband.construct import gbar_derived
+
+    path = tmp_path / "gbar.json"
+    path.write_text(to_json(gbar_derived()))
+    argv = ["decompose", "blocks", str(path), "--partition", json.dumps(blocks)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_decompose_gcopies_and_extension(g_file, capsys):
     assert run(["decompose", "gcopies", g_file]) == 0
     doc = out_json(capsys)

@@ -85,6 +85,13 @@ def test_partition_validates_cover_and_disjointness():
         Partition(blocks=((0, 1), ()))
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1", None])
+def test_partition_elements_must_be_integers(bad):
+    # 1.0 and True compare equal to 1 and used to pass as element 1
+    with pytest.raises(ValueError, match="integers"):
+        Partition(blocks=((0, bad), (2, 3)))
+
+
 def test_singleton_partition_shape():
     p = singleton_partition(3)
     assert p.blocks == ((0,), (1,), (2,))

@@ -206,6 +206,18 @@ def test_check_variety_reports_match_eval_term_sweeps(g):
         assert check_variety(g, spec).reports == want
 
 
+@pytest.mark.parametrize("text", ["n = (tn)", "(tn)(nt) = n", "(tt)n = n", "(nn)x = x"])
+def test_law_variables_named_like_kernel_arguments(text):
+    # t and n are the kernel's own argument names in a careless generator
+    ident = parse_identity(text)
+    g = FiniteGroupoid(table=((0, 2, 1), (2, 1, 0), (1, 0, 2)))
+    want = reference_report(g, ident)
+    assert not want.holds
+    assert check_identity(g, ident) == want
+    scalar = _kernel_for(ident)(g.table, g.order, None)
+    assert scalar == tuple(want.counterexample.values())
+
+
 def test_presets_that_lower_to_byte_vectors():
     lowered = {str(idy) for idy in PRESET_LAWS if lowers_to_vectors(idy)}
     assert lowered == {"(xy)z = (zy)x", "(xy)x = y", "(xy)(zw) = (xz)(yw)",

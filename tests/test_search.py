@@ -1,24 +1,26 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from agband.construct import standard_g, tower_level
 from agband.errors import ResourceLimitError
 from agband.groupoid import FiniteGroupoid
 from agband.laws import (
+    IDEMPOTENT,
     Identity,
     Prod,
     Var,
+    VarietySpec,
     _kernel_for,
     check_variety,
     get_variety,
+    parse_identity,
     variables,
 )
 from agband.morphisms import iso_search
 from agband.search import (
     SearchOutcome,
-    _eval_partial,
     brute_force_oracle,
     canonical_form,
     canonical_table,
@@ -30,8 +32,10 @@ ARAGB = get_variety("aragb")
 
 
 def _terms():
+    # i, j, n and t are also the scanner's argument names in a careless
+    # generator; law variables must not clash with them
     return st.recursive(
-        st.sampled_from("xyz").map(Var),
+        st.sampled_from("xyijnt").map(Var),
         lambda sub: st.tuples(sub, sub).map(lambda p: Prod(*p)),
         max_leaves=5,
     )
@@ -46,23 +50,59 @@ def _partial_tables():
     return st.integers(1, 4).flatmap(build)
 
 
-@given(_terms(), _terms(), _partial_tables())
-@settings(max_examples=200)
-def test_partial_scanner_finds_the_first_decided_failure(lhs, rhs, table):
-    # the compiled partial-table scanner against a lexicographic sweep with
-    # the recursive evaluator, skipping instances with an undecided subterm
+def _reading(term, env, table, cells):
+    """Evaluate like _eval_partial, adding each cell read to ``cells``."""
+    if isinstance(term, Var):
+        return env[term.name]
+    left = _reading(term.left, env, table, cells)
+    if left is None:
+        return None
+    right = _reading(term.right, env, table, cells)
+    if right is None:
+        return None
+    cells.add((left, right))
+    return table[left][right]
+
+
+@given(_terms(), _terms(), _partial_tables(), st.data())
+@settings(max_examples=300)
+def test_delta_scanner_finds_exactly_the_failures_reading_a_cell(
+    lhs, rhs, table, data
+):
+    # the compiled delta scanner against a sweep of every instance with an
+    # evaluator that records the cells each instance reads
     ident = Identity(lhs, rhs)
     names = variables(ident)
     n = len(table)
-    want = None
+    decided = [(a, b) for a in range(n) for b in range(n) if table[a][b] is not None]
+    assume(decided)
+    i, j = data.draw(st.sampled_from(decided))
+    by_value = [[] for _ in range(n)]
+    for a, b in data.draw(st.permutations(decided)):
+        by_value[table[a][b]].append((a, b))
+    failing = set()
     for vals in itertools.product(range(n), repeat=len(names)):
         env = dict(zip(names, vals))
-        left = _eval_partial(lhs, env, table)
-        right = _eval_partial(rhs, env, table)
+        cells = set()
+        left = _reading(lhs, env, table, cells)
+        right = _reading(rhs, env, table, cells)
         if left is not None and right is not None and left != right:
-            want = vals
-            break
-    assert _kernel_for(ident, partial=True)(table, n) == want
+            if (i, j) in cells:
+                failing.add(vals)
+    got = _kernel_for(ident, partial=True)(table, n, by_value, i, j)
+    assert (got is None) == (not failing)
+    assert got is None or got in failing
+
+
+def test_delta_scanner_on_a_table_with_a_hole():
+    # (xy)z = (zy)x fails at (0, 0, 1) and (1, 0, 0), which both read the
+    # cells (0, 0), (0, 1) and (1, 0); the hole (1, 1) decides nothing
+    scan = _kernel_for(parse_identity("(xy)z = (zy)x"), partial=True)
+    table = [[0, 1], [0, None]]
+    by_value = [[(0, 0), (1, 0)], [(0, 1)]]
+    for cell in ((0, 0), (0, 1), (1, 0)):
+        assert scan(table, 2, by_value, *cell) in {(0, 0, 1), (1, 0, 0)}
+    assert scan(table, 2, by_value, 1, 1) is None
 
 
 def test_canonical_table_is_a_relabelling_invariant():
@@ -88,6 +128,49 @@ def test_single_order_four_model_up_to_isomorphism():
     assert out.count == 1
     assert out.canonical_models[0].table == canonical_table(standard_g().table)
     assert out.stats.nodes > 0
+
+
+# (order, classes, nodes, propagation failures) as the full-table rescan
+# counted them; a lost or a wrong prune changes the nodes or the failures
+SEARCH_COUNTS = {
+    "ag": [(1, 1, 1, 0), (2, 3, 26, 8), (3, 20, 1503, 922),
+           (4, 331, 334684, 247715)],
+    "band": [(1, 1, 0, 0), (2, 1, 6, 2), (3, 2, 117, 72), (4, 6, 3916, 2897),
+             (5, 18, 575765, 460221)],
+    "aragb": [(1, 1, 0, 0), (2, 0, 0, 0), (3, 0, 2, 1), (4, 1, 8, 2),
+              (5, 0, 20, 9), (6, 0, 81, 43), (7, 0, 329, 178),
+              (8, 0, 1179, 717)],
+    "evans": [(1, 1, 1, 0), (2, 0, 14, 8), (3, 0, 180, 121),
+              (4, 1, 4624, 3466)],
+    "medial": [(1, 1, 1, 0), (2, 7, 30, 6), (3, 75, 2781, 1592)],
+}
+
+
+@pytest.mark.parametrize(
+    "name, order, count, nodes, failures",
+    [(name, *row) for name, rows in SEARCH_COUNTS.items() for row in rows],
+)
+def test_search_counts_are_pinned(name, order, count, nodes, failures):
+    out = enumerate_models(order, get_variety(name))
+    assert (out.count, out.stats.nodes, out.stats.propagation_failures) == (
+        count, nodes, failures
+    )
+
+
+@pytest.mark.parametrize("law", ["x = y", "xx = y"])
+def test_instances_decided_before_the_search_are_checked(law):
+    # x = y reads no cell, and with idempotency xx = y reads only the
+    # diagonal; the scanners never see these instances again once the
+    # search has started, so a refutation must come before it
+    v = VarietySpec("T", (IDEMPOTENT, parse_identity(law)))
+    assert enumerate_models(1, v).count == 1
+    out = enumerate_models(2, v)
+    assert (out.count, out.stats.nodes) == (0, 0)
+
+
+def test_a_law_without_products_that_always_holds():
+    same = VarietySpec("ANY", (parse_identity("x = x"),))
+    assert enumerate_models(2, same).count == 10
 
 
 def test_search_is_deterministic():
