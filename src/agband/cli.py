@@ -38,7 +38,7 @@ from .errors import (
     SearchInvariantError,
     VarietyError,
 )
-from .groupoid import FiniteGroupoid, from_json, render_text, to_doc
+from .groupoid import FiniteGroupoid, from_json, render_text, to_doc, to_json
 from .laws import VarietySpec, check_variety, get_variety, parse_identity
 from .morphisms import canonical_iso, classify_all_bijections, iso_search
 from .search import brute_force_oracle, enumerate_models, spectrum_scan
@@ -60,7 +60,7 @@ def _emit_groupoid(g: FiniteGroupoid, fmt: str) -> None:
     if fmt == "text":
         print(render_text(g))
     else:
-        _print_json(to_doc(g))
+        print(to_json(g))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +281,7 @@ def _cmd_models(args) -> int:
         for k, g in enumerate(out.canonical_models):
             path = os.path.join(args.emit, f"model-{k:03d}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(to_doc(g), fh, indent=2)
-                fh.write("\n")
+                fh.write(to_json(g) + "\n")
             paths.append(path)
         summary["models"] = paths
     else:

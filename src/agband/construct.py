@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 
 from .errors import ResourceLimitError
 from .groupoid import FiniteGroupoid
@@ -41,8 +42,10 @@ def standard_g() -> FiniteGroupoid:
 # |h|.  The fresh generator x is the AX-block element at the designated
 # position, since (ax)a = x under the anti-rectangular law.  Each of the 16
 # block pairs multiplies into a single block, with the inner index given by a
-# fixed word in the base product; the words below are written for row inner
-# index i, column inner index j and designated element a.
+# fixed word in the base product p; the words below are written for row inner
+# index i, column inner index j and designated element a.  They are the scalar
+# form: extend evaluates the same words a whole block row at a time, and
+# limit_product one cell at a time.
 
 
 class Block(IntEnum):
@@ -72,22 +75,22 @@ def tower_element(level: int, index: int) -> TowerElement:
 
 
 _EXT_CELLS = {
-    (0, 0): (0, lambda m, i, j, a: m[i][j]),
-    (0, 1): (3, lambda m, i, j, a: m[m[j][a]][i]),
-    (0, 2): (1, lambda m, i, j, a: m[j][i]),
-    (0, 3): (2, lambda m, i, j, a: m[m[i][j]][m[a][i]]),
-    (1, 0): (2, lambda m, i, j, a: m[j][i]),
-    (1, 1): (1, lambda m, i, j, a: m[i][j]),
-    (1, 2): (3, lambda m, i, j, a: m[j][m[a][i]]),
-    (1, 3): (0, lambda m, i, j, a: m[a][m[i][j]]),
-    (2, 0): (3, lambda m, i, j, a: m[m[i][a]][m[j][i]]),
-    (2, 1): (0, lambda m, i, j, a: m[j][i]),
-    (2, 2): (2, lambda m, i, j, a: m[i][j]),
-    (2, 3): (1, lambda m, i, j, a: m[m[a][i]][j]),
-    (3, 0): (1, lambda m, i, j, a: m[i][m[j][a]]),
-    (3, 1): (2, lambda m, i, j, a: m[m[i][j]][a]),
-    (3, 2): (0, lambda m, i, j, a: m[m[a][i]][m[j][a]]),
-    (3, 3): (3, lambda m, i, j, a: m[i][j]),
+    (0, 0): (0, lambda p, i, j, a: p(i, j)),
+    (0, 1): (3, lambda p, i, j, a: p(p(j, a), i)),
+    (0, 2): (1, lambda p, i, j, a: p(j, i)),
+    (0, 3): (2, lambda p, i, j, a: p(p(i, j), p(a, i))),
+    (1, 0): (2, lambda p, i, j, a: p(j, i)),
+    (1, 1): (1, lambda p, i, j, a: p(i, j)),
+    (1, 2): (3, lambda p, i, j, a: p(j, p(a, i))),
+    (1, 3): (0, lambda p, i, j, a: p(a, p(i, j))),
+    (2, 0): (3, lambda p, i, j, a: p(p(i, a), p(j, i))),
+    (2, 1): (0, lambda p, i, j, a: p(j, i)),
+    (2, 2): (2, lambda p, i, j, a: p(i, j)),
+    (2, 3): (1, lambda p, i, j, a: p(p(a, i), j)),
+    (3, 0): (1, lambda p, i, j, a: p(i, p(j, a))),
+    (3, 1): (2, lambda p, i, j, a: p(p(i, j), a)),
+    (3, 2): (0, lambda p, i, j, a: p(p(a, i), p(j, a))),
+    (3, 3): (3, lambda p, i, j, a: p(i, j)),
 }
 
 
@@ -120,16 +123,26 @@ def extend(base: FiniteGroupoid, designated: int = 0,
     require_aragb(base, "base")
     m = base.table
     a = designated
-    table = [[0] * (4 * n) for _ in range(4 * n)]
-    for rb in range(4):
-        for cb in range(4):
-            ob, word = _EXT_CELLS[(rb, cb)]
-            off = ob * n
-            for i in range(n):
-                row = table[rb * n + i]
-                col0 = cb * n
-                for j in range(n):
-                    row[col0 + j] = off + word(m, i, j, a)
+    # Each word is at most two base lookups, so each block row is a base row
+    # or column, or one gathered at another row or column: R[ob][r] is row r
+    # and C[ob][c] column c, both shifted by ob * n; at_row[r] gathers at the
+    # entries of row r, at_col[c] at those of column c.
+    at_row = [itemgetter(*r) for r in m]
+    at_col = [itemgetter(*c) for c in zip(*m)]
+    shifted = [tuple(range(ob * n, (ob + 1) * n)) for ob in range(4)]
+    R = [[g(s) for g in at_row] for s in shifted]
+    C = [[g(s) for g in at_col] for s in shifted]
+    at_a, row_a, col_a = at_col[a], m[a], C[0][a]
+    table = (
+        [R[0][i] + at_a(C[3][i]) + C[1][i] + at_row[i](C[2][row_a[i]])
+         for i in range(n)]
+        + [C[2][i] + R[1][i] + C[3][row_a[i]] + at_row[i](R[0][a])
+           for i in range(n)]
+        + [at_col[i](R[3][col_a[i]]) + C[0][i] + R[2][i] + R[1][row_a[i]]
+           for i in range(n)]
+        + [at_a(R[1][i]) + at_row[i](C[2][a]) + at_a(R[0][row_a[i]]) + R[3][i]
+           for i in range(n)]
+    )
     ax = _mul_label(base.labels[a], x_label)
     labels = (
         list(base.labels)
@@ -137,7 +150,7 @@ def extend(base: FiniteGroupoid, designated: int = 0,
         + [_mul_label(s, x_label) for s in base.labels]
         + [x_label if i == a else _mul_label(ax, base.labels[i]) for i in range(n)]
     )
-    return FiniteGroupoid(tuple(tuple(r) for r in table), tuple(labels))
+    return FiniteGroupoid(tuple(table), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +158,18 @@ def extend(base: FiniteGroupoid, designated: int = 0,
 
 _tower_cache: list[FiniteGroupoid] = []
 
-# Level 5 (order 1024, about a million cells) takes seconds to build; level 6
-# would check the defining laws at order 1024 and then hold 16.7 M cells.
+# Level 5 (order 1024, about a million cells) builds in a fraction of a
+# second; level 6 would check the defining laws at order 1024, where the law
+# kernels loop on scalars, and then hold 16.7 M cells.
 _MAX_LEVEL = 5
+
+
+def _require_level_in_envelope(n: int) -> None:
+    if n > _MAX_LEVEL:
+        raise ResourceLimitError(
+            f"tower level {n} has order {4 ** n}; levels above "
+            f"{_MAX_LEVEL} (order {4 ** _MAX_LEVEL}) are not built"
+        )
 
 
 def tower(n: int) -> tuple[FiniteGroupoid, ...]:
@@ -161,11 +183,7 @@ def tower(n: int) -> tuple[FiniteGroupoid, ...]:
     """
     if n < 0:
         raise IndexError("tower levels start at 0")
-    if n > _MAX_LEVEL:
-        raise ResourceLimitError(
-            f"tower level {n} has order {4 ** n}; levels above "
-            f"{_MAX_LEVEL} (order {4 ** _MAX_LEVEL}) are not built"
-        )
+    _require_level_in_envelope(n)
     if not _tower_cache:
         _tower_cache.append(FiniteGroupoid(((0,),), ("a",)))
         _tower_cache.append(standard_g())
@@ -184,15 +202,29 @@ def limit_product(i: int, j: int) -> int:
     """Product of elements i and j of the union of all tower levels.
 
     Prefix compatibility makes this well defined: any level whose order
-    exceeds both indices gives the same answer.  Indices of 1024 and up
-    need a level above 5 and raise ResourceLimitError.
+    exceeds both indices gives the same answer.  It is evaluated without a
+    table, as the extension word of the two indices' blocks, down to the
+    order-4 model.  Indices of 1024 and up lie above level 5 and raise
+    ResourceLimitError, as the tower does.
     """
     if i < 0 or j < 0:
         raise IndexError("indices must be nonnegative")
     level = 1
     while 4 ** level <= max(i, j):
         level += 1
-    return tower_level(level).table[i][j]
+    _require_level_in_envelope(level)
+    return _block_product(i, j, 4 ** (level - 1))
+
+
+def _block_product(i: int, j: int, n: int) -> int:
+    """Product in a tower level whose extension blocks have n elements."""
+    if n == 1:
+        return _G_TABLE[i][j]
+    rb, i = divmod(i, n)
+    cb, j = divmod(j, n)
+    ob, word = _EXT_CELLS[(rb, cb)]
+    quarter = n // 4
+    return ob * n + word(lambda u, v: _block_product(u, v, quarter), i, j, 0)
 
 
 def adjoined_generator_index(level: int) -> int:

@@ -393,6 +393,11 @@ def _kernel_for(identity: Identity, partial: bool = False):
     return kern
 
 
+# The kernel nests one loop per variable, and CPython compiles at most 20
+# statically nested blocks.
+_MAX_VARIABLES = 20
+
+
 def _byte_lines(g):
     """The rows and columns of g's table as 256-byte ``bytes.translate``
     tables, or None above order 256, where the kernels loop on scalars."""
@@ -409,6 +414,11 @@ def check_identity(g, identity: Identity, _lines=None) -> IdentityReport:
     failing one.  ``_lines`` is ``_byte_lines(g)`` when the caller already
     built it, as check_variety does for all of its identities."""
     names = variables(identity)
+    if len(names) > _MAX_VARIABLES:
+        raise ValueError(
+            f"identity {identity} has {len(names)} variables; at most "
+            f"{_MAX_VARIABLES} can be checked"
+        )
     if _lines is None:
         _lines = _byte_lines(g)
     bad = _kernel_for(identity)(g.table, g.order, _lines)

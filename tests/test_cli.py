@@ -76,6 +76,14 @@ def test_check_accepts_inline_laws(g_file, capsys):
     assert run(["check", g_file, "--law", "xy = yx"]) == 1
 
 
+def test_check_refuses_a_law_with_more_than_twenty_variables(g_file, capsys):
+    law = "((((((((((((((((((((ab)c)d)e)f)g)h)i)j)k)l)m)n)o)p)q)r)s)t)u)v = v"
+    assert run(["check", g_file, "--law", law]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "22 variables" in err
+    assert "Traceback" not in err
+
+
 def test_check_rejects_unknown_preset(g_file, capsys):
     assert run(["check", g_file, "--variety", "nosuch"]) == 2
     assert "presets" in capsys.readouterr().err
@@ -214,6 +222,26 @@ def test_models_inline_and_emitted(tmp_path, capsys):
     ]) == 0
     files = sorted(p.name for p in outdir.iterdir())
     assert files == ["model-000.json"]
+
+
+def test_models_emits_the_indented_json_encoding(tmp_path, capsys):
+    outdir = tmp_path / "models"
+    assert run([
+        "models", "--variety", "ag", "--order", "3", "--emit", str(outdir),
+    ]) == 0
+    assert out_json(capsys)["count"] == len(list(outdir.iterdir())) > 1
+    for path in outdir.iterdir():
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["build", "gn", "--n", "3"],
+                                  ["build", "j", "--n", "2"],
+                                  ["build", "gbar", "--from-table3"]])
+def test_built_tables_are_printed_as_indented_json(argv, capsys):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_models_witness_mode_requires_limit(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from agband.construct import (
@@ -77,6 +79,29 @@ def test_extend_rejects_non_models_and_bad_arguments():
         extend(standard_g(), designated=9)
 
 
+def scalar_extension_table(base, a):
+    """The extension table cell by cell from the scalar _EXT_CELLS words."""
+    m, n = base.table, base.order
+
+    def p(x, y):
+        return m[x][y]
+
+    table = [[0] * (4 * n) for _ in range(4 * n)]
+    for (rb, cb), (ob, word) in construct._EXT_CELLS.items():
+        for i in range(n):
+            row = table[rb * n + i]
+            for j in range(n):
+                row[cb * n + j] = ob * n + word(p, i, j, a)
+    return tuple(map(tuple, table))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_extend_gathers_the_scalar_words(level):
+    base = tower_level(level)
+    for a in range(base.order):
+        assert extend(base, a).table == scalar_extension_table(base, a)
+
+
 def test_tower_levels_nest_as_prefixes():
     g0, g1, g2 = tower(2)
     assert g0.order == 1 and g1.order == 4 and g2.order == 16
@@ -122,6 +147,27 @@ def test_limit_product_matches_every_containing_level():
         for i in range(n):
             for j in range(n):
                 assert limit_product(i, j) == t[i][j]
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_limit_product_matches_seeded_cells_of_the_large_levels(level):
+    t = tower_level(level).table
+    rng = random.Random(level)
+    for _ in range(4096):
+        i, j = rng.randrange(4**level), rng.randrange(4**level)
+        assert limit_product(i, j) == t[i][j]
+
+
+def test_limit_product_builds_no_tower_level():
+    t = tower_level(5).table
+    saved = list(construct._tower_cache)
+    construct._tower_cache.clear()
+    try:
+        assert limit_product(700, 300) == t[700][300]
+        assert limit_product(1023, 1023) == t[1023][1023]
+        assert construct._tower_cache == []
+    finally:
+        construct._tower_cache[:] = saved
 
 
 def test_limit_product_rejects_negative_indices():

@@ -1,14 +1,16 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from agband.construct import gbar_table3, tower
 from agband.errors import ClosureError
 from agband.groupoid import (
     FiniteGroupoid,
     default_labels,
     from_json,
     render_text,
+    to_doc,
     to_json,
 )
 
@@ -137,6 +139,72 @@ def test_relabel_round_trip(table, rng):
 def test_json_round_trip(table):
     g = FiniteGroupoid(table=table)
     assert from_json(to_json(g)).table == g.table
+
+
+@pytest.mark.parametrize("g", [
+    *tower(4),
+    gbar_table3(),
+    FiniteGroupoid(table=((0,),), labels=("\u00e9",)),
+    FiniteGroupoid(table=Z3.table, labels=('"q"', "back\\slash", "\u2603\n\u2028")),
+])
+def test_to_json_is_the_indented_json_encoding(g):
+    assert to_json(g) == json.dumps(to_doc(g), indent=2)
+
+
+@settings(max_examples=40)
+@given(small_tables().flatmap(lambda t: st.tuples(
+    st.just(t),
+    st.lists(st.text(min_size=1), min_size=len(t), max_size=len(t), unique=True),
+)))
+def test_to_json_matches_json_dumps_on_any_labels(table_labels):
+    g = FiniteGroupoid(*table_labels)
+    assert to_json(g) == json.dumps(to_doc(g), indent=2)
+
+
+def reference_table_error(table):
+    """Message of the row-major check every table once went through cell by
+    cell: the first row of the wrong length or the first bad cell."""
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return f"row {i} has length {len(row)}, expected {n}"
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < n:
+                return f"entry ({i}, {j}) = {v!r} out of range"
+    return None
+
+
+SHORT_ROW = "short row"
+
+
+@st.composite
+def tables_with_bad_cells(draw):
+    rows = [list(r) for r in draw(small_tables())]
+    n = len(rows)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, n - 1))
+        bad = draw(st.sampled_from([True, -1, n, 1.0, "0", SHORT_ROW]))
+        if not rows[i]:
+            continue  # emptied by an earlier SHORT_ROW
+        if bad is SHORT_ROW:
+            rows[i].pop()
+        else:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = bad
+    return rows
+
+
+@given(tables_with_bad_cells())
+def test_bad_tables_are_refused_with_the_first_bad_row_or_cell(rows):
+    message = reference_table_error(rows)
+    assert message is not None
+    with pytest.raises(ValueError) as err:
+        FiniteGroupoid(table=rows)
+    assert str(err.value) == message
+    doc = {"order": len(rows), "labels": list(default_labels(len(rows))),
+           "table": rows}
+    with pytest.raises(ValueError) as err:
+        from_json(json.dumps(doc))
+    assert str(err.value) == message
 
 
 def test_from_json_validates_shape():

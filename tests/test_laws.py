@@ -260,6 +260,24 @@ def test_check_identity_counts_assignments():
     assert rep.assignments == 2  # lex rank of (0, 1) plus one
 
 
+def left_nested_law(k):
+    """((ab)c)... = z over the first k letters; z is the last one."""
+    names = "abcdefghijklmnopqrstuvwxyz"[:k]
+    term = names[0]
+    for v in names[1:]:
+        term = f"({term}){v}" if len(term) > 1 else term + v
+    return parse_identity(f"{term} = {names[-1]}")
+
+
+def test_check_identity_refuses_more_than_twenty_variables():
+    g = tower_level(1)
+    rep = check_identity(g, left_nested_law(20))
+    assert not rep.holds and rep.assignments == 2
+    for k in (21, 26):
+        with pytest.raises(ValueError, match=f"has {k} variables; at most 20"):
+            check_identity(g, left_nested_law(k))
+
+
 def test_check_identity_counterexample_evaluates_to_failure():
     rep = check_identity(RIGHT_ZERO_4, LEFT_INVERTIVE)
     if not rep.holds:
