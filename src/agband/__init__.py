@@ -1,181 +1,2 @@
 """Anti-rectangular bands: the order-quadrupling tower, its morphisms,
 decompositions, and exhaustive model search."""
-
-from .construct import (
-    Block,
-    GbarScaffold,
-    TowerElement,
-    adjoined_generator_index,
-    diff_tables,
-    extend,
-    gbar_derived,
-    gbar_scaffold,
-    gbar_table3,
-    j_subband,
-    limit_product,
-    square_pair_model,
-    standard_g,
-    tower,
-    tower_element,
-    tower_level,
-)
-from .decompose import (
-    BandDecomposition,
-    DecompositionWitness,
-    IntersectionAudit,
-    Partition,
-    check_band_decomposition,
-    copy_intersection_audit,
-    extension_block_decomposition,
-    g_copy_partition,
-    singleton_partition,
-)
-from .errors import (
-    ClosureError,
-    ParseError,
-    ResourceLimitError,
-    SearchInvariantError,
-    VarietyError,
-)
-from .groupoid import (
-    CancellativityReport,
-    FiniteGroupoid,
-    default_labels,
-    from_json,
-    render_text,
-    to_json,
-)
-from .laws import (
-    ANTI_RECTANGULAR,
-    EVANS,
-    IDEMPOTENT,
-    LEFT_INVERTIVE,
-    MEDIAL,
-    VARIETIES,
-    Identity,
-    IdentityReport,
-    Prod,
-    Var,
-    VarietyReport,
-    VarietySpec,
-    alpha_key,
-    check_identity,
-    check_variety,
-    eval_term,
-    get_variety,
-    parse_identity,
-    parse_term,
-    pretty,
-    variables,
-)
-from .morphisms import (
-    BijectionCensus,
-    MapKind,
-    Mapping,
-    anti_to_iso,
-    canonical_iso,
-    classify_all_bijections,
-    classify_mapping,
-    compose,
-    cycle_type,
-    cycle_type_name,
-    identity_mapping,
-    iso_search,
-    two_generator_recipe,
-    verified,
-)
-from .search import (
-    SearchOutcome,
-    SearchStats,
-    brute_force_oracle,
-    canonical_form,
-    canonical_table,
-    enumerate_models,
-    spectrum_scan,
-)
-from .verify import ClaimResult, VerificationReport, claim_ids, run_claims
-
-__all__ = [
-    "ANTI_RECTANGULAR",
-    "BandDecomposition",
-    "BijectionCensus",
-    "Block",
-    "CancellativityReport",
-    "ClaimResult",
-    "ClosureError",
-    "DecompositionWitness",
-    "EVANS",
-    "FiniteGroupoid",
-    "GbarScaffold",
-    "IDEMPOTENT",
-    "Identity",
-    "IdentityReport",
-    "IntersectionAudit",
-    "LEFT_INVERTIVE",
-    "MEDIAL",
-    "MapKind",
-    "Mapping",
-    "ParseError",
-    "Partition",
-    "Prod",
-    "ResourceLimitError",
-    "SearchInvariantError",
-    "SearchOutcome",
-    "SearchStats",
-    "TowerElement",
-    "VARIETIES",
-    "Var",
-    "VarietyError",
-    "VarietyReport",
-    "VarietySpec",
-    "VerificationReport",
-    "adjoined_generator_index",
-    "alpha_key",
-    "anti_to_iso",
-    "canonical_form",
-    "canonical_iso",
-    "canonical_table",
-    "check_band_decomposition",
-    "check_identity",
-    "check_variety",
-    "claim_ids",
-    "classify_all_bijections",
-    "classify_mapping",
-    "compose",
-    "copy_intersection_audit",
-    "cycle_type",
-    "cycle_type_name",
-    "default_labels",
-    "diff_tables",
-    "enumerate_models",
-    "eval_term",
-    "extend",
-    "extension_block_decomposition",
-    "from_json",
-    "g_copy_partition",
-    "gbar_derived",
-    "gbar_scaffold",
-    "gbar_table3",
-    "get_variety",
-    "identity_mapping",
-    "iso_search",
-    "j_subband",
-    "limit_product",
-    "parse_identity",
-    "parse_term",
-    "pretty",
-    "render_text",
-    "run_claims",
-    "singleton_partition",
-    "spectrum_scan",
-    "square_pair_model",
-    "standard_g",
-    "to_json",
-    "tower",
-    "tower_element",
-    "tower_level",
-    "two_generator_recipe",
-    "variables",
-    "verified",
-    "brute_force_oracle",
-]

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .construct import standard_g, tower_level
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
 from .laws import require_aragb
-from .morphisms import MapKind, canonical_iso, iso_search
+from .morphisms import canonical_iso, iso_search
 
 
 @dataclass(frozen=True)
@@ -111,11 +112,9 @@ def extension_block_decomposition(n: int) -> BandDecomposition:
     """The four-block decomposition of tower level n.
 
     For n >= 2 the blocks are the extension's quarters; each is checked
-    isomorphic to level n-1 and the quotient isomorphic to level 1.  For
+    equal to level n-1 and the quotient isomorphic to level 1.  For
     n = 1 the blocks are singletons and the quotient is the level itself.
     """
-    from .construct import standard_g, tower_level
-
     if n < 1:
         raise ValueError("n must be at least 1")
     g = tower_level(n)
@@ -133,14 +132,12 @@ def extension_block_decomposition(n: int) -> BandDecomposition:
         raise SearchInvariantError(
             f"extension blocks failed to decompose level {n}: {outcome}"
         )
-    previous = tower_level(n - 1) if n >= 2 else None
-    if previous is not None:
+    if n >= 2:
+        previous = tower_level(n - 1).table
         for block in outcome.partition.blocks:
-            piece = g.restrict(block)
-            found = iso_search(piece, previous)
-            if found is None or found.kind != MapKind.ISO:
+            if g.restrict(block).table != previous:
                 raise SearchInvariantError(
-                    f"block starting at {block[0]} is not isomorphic to the "
+                    f"block starting at {block[0]} is not equal to the "
                     "previous level"
                 )
     if iso_search(outcome.quotient, standard_g()) is None:
@@ -160,8 +157,6 @@ def g_copy_partition(g: FiniteGroupoid) -> Partition:
     block is sorted, the blocks are ordered by least element, and every
     block is checked isomorphic to the order-4 model.
     """
-    from .construct import standard_g
-
     blocks: list[list[int]] = [[] for _ in range(g.order // 4)]
     for e, image in enumerate(canonical_iso(g).images):
         blocks[image // 4].append(e)
@@ -205,8 +200,6 @@ def copy_intersection_audit(g: FiniteGroupoid) -> IntersectionAudit:
     """Span every unordered pair of distinct elements and tabulate how the
     resulting order-4 copies intersect.  Reports the observed distribution;
     the caller decides what to assert about which sizes occur."""
-    from .construct import standard_g
-
     if g.order > _AUDIT_LIMIT:
         raise ResourceLimitError(
             f"audit is quadratic in generated copies; supported up to order "

@@ -211,6 +211,8 @@ def from_json(text: str) -> FiniteGroupoid:
         raise ValueError(f'"order" must be an integer, got {doc["order"]!r}')
     if type(doc["labels"]) is not list or any(type(s) is not str for s in doc["labels"]):
         raise ValueError('"labels" must be a list of strings')
+    if type(doc["table"]) is not list or any(type(r) is not list for r in doc["table"]):
+        raise ValueError('"table" must be a list of lists')
     g = FiniteGroupoid(table=doc["table"], labels=doc["labels"])
     if g.order != doc["order"]:
         raise ValueError(f'"order" is {doc["order"]} but the table has {g.order} rows')

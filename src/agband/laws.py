@@ -206,6 +206,11 @@ class IdentityReport:
 
 _KERNELS: dict[tuple[str, bool], object] = {}
 
+# CPython compiles at most 20 statically nested blocks, and each loop of a
+# kernel is one: the full kernel nests one per variable, a delta scanner one
+# per compound operand it pins plus one per variable left free.
+_MAX_LOOPS = 20
+
 
 def _compile_kernel(identity: Identity, partial: bool):
     """Build the checker for this identity's shape.
@@ -351,6 +356,11 @@ def _compile_kernel(identity: Identity, partial: bool):
 
         pin_factors(prod, "_i", "_j")
         steps += loops([v for v in order if not bound(v)])
+        if sum(line.startswith("for ") for line, _, _ in steps) > _MAX_LOOPS:
+            raise ValueError(
+                f"identity {identity} is too deep for the model search: it "
+                f"needs more than {_MAX_LOOPS} nested loops"
+            )
         return nest(steps, known, False)
 
     def products(t: Term) -> list[Prod]:
@@ -393,11 +403,6 @@ def _kernel_for(identity: Identity, partial: bool = False):
     return kern
 
 
-# The kernel nests one loop per variable, and CPython compiles at most 20
-# statically nested blocks.
-_MAX_VARIABLES = 20
-
-
 def _byte_lines(g):
     """The rows and columns of g's table as 256-byte ``bytes.translate``
     tables, or None above order 256, where the kernels loop on scalars."""
@@ -414,10 +419,10 @@ def check_identity(g, identity: Identity, _lines=None) -> IdentityReport:
     failing one.  ``_lines`` is ``_byte_lines(g)`` when the caller already
     built it, as check_variety does for all of its identities."""
     names = variables(identity)
-    if len(names) > _MAX_VARIABLES:
+    if len(names) > _MAX_LOOPS:
         raise ValueError(
             f"identity {identity} has {len(names)} variables; at most "
-            f"{_MAX_VARIABLES} can be checked"
+            f"{_MAX_LOOPS} can be checked"
         )
     if _lines is None:
         _lines = _byte_lines(g)

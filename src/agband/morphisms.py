@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from .construct import standard_g, tower_level
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
 from .laws import require_aragb
@@ -331,8 +332,6 @@ def two_generator_recipe(g: FiniteGroupoid, c: int, d: int):
     three defining laws the carrier has exactly four elements and the mapping
     verifies as ISO.
     """
-    from .construct import standard_g
-
     if c == d:
         raise ValueError("generators must be distinct")
     carrier = tuple(sorted(g.generated_subgroupoid({c, d})))
@@ -361,8 +360,6 @@ def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     seed), so the construction either succeeds in one pass or trips an
     invariant error; the result is re-verified before returning.
     """
-    from .construct import tower_level
-
     n = k.order
     level = 0
     while 4 ** level < n:

@@ -34,6 +34,7 @@ from .laws import (
     parse_identity,
     variables,
 )
+from .morphisms import iso_search
 
 _IDEMPOTENT_KEYS = frozenset(
     alpha_key(parse_identity(s)) for s in ("x = xx", "xx = x")
@@ -313,8 +314,6 @@ def enumerate_models(
 
     models.sort(key=lambda g: g.table)
     if not witness_mode and len(models) <= 10:
-        from .morphisms import iso_search
-
         for a, b in itertools.combinations(models, 2):
             if iso_search(a, b) is not None:
                 raise SearchInvariantError(

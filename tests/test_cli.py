@@ -95,6 +95,14 @@ def test_check_rejects_malformed_json(tmp_path, capsys):
     assert run(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("table", [5, [1, 2], "a"])
+def test_check_reports_a_malformed_table_on_stdin_as_a_usage_error(fresh_python, table):
+    doc = {"order": 2, "labels": ["a", "b"], "table": table}
+    proc = fresh_python("-m", "agband.cli", "check", "-", stdin=json.dumps(doc))
+    assert proc.returncode == 2
+    assert proc.stderr == 'error: "table" must be a list of lists\n'
+
+
 def test_iso_between_relabellings(g_file, tmp_path, capsys):
     other = tmp_path / "h.json"
     other.write_text(to_json(standard_g().relabel((2, 0, 3, 1))))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from agband import decompose
 from agband.construct import gbar_derived, standard_g, tower_level
 from agband.decompose import (
     BandDecomposition,
@@ -143,6 +144,22 @@ def test_extension_blocks_are_copies_of_the_previous_level():
     for block in three.partition.blocks:
         sub = tower_level(3).restrict(block)
         assert iso_search(sub, g2) is not None
+
+
+def test_extension_blocks_must_equal_the_previous_level(monkeypatch):
+    # an isomorphic but relabelled level n-1 passes an isomorphism check,
+    # so only the table comparison can refuse it
+    real = tower_level
+
+    def relabelled_previous(level):
+        g = real(level)
+        return g.relabel((1, 0) + tuple(range(2, g.order))) if level == 1 else g
+
+    moved = relabelled_previous(1)
+    assert moved.table != G.table and iso_search(moved, G) is not None
+    monkeypatch.setattr(decompose, "tower_level", relabelled_previous)
+    with pytest.raises(SearchInvariantError, match="not equal to the previous level"):
+        extension_block_decomposition(2)
 
 
 def test_tower_levels_split_into_consecutive_copies_of_g():

@@ -237,6 +237,13 @@ def test_from_json_rejects_labels_that_are_not_a_list_of_strings(labels):
     assert FiniteGroupoid(table=((0, 0), (0, 0)), labels="ab").labels == ("a", "b")
 
 
+@pytest.mark.parametrize("table", [5, [1, 2], "a", [{"x": 0}], [[0, 1], "ab"], None])
+def test_from_json_rejects_a_table_that_is_not_a_list_of_lists(table):
+    doc = {"order": 2, "labels": ["a", "b"], "table": table}
+    with pytest.raises(ValueError, match='"table" must be a list of lists'):
+        from_json(json.dumps(doc))
+
+
 def test_render_text_aligns_columns():
     text = render_text(Z3)
     lines = text.splitlines()

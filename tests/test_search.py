@@ -234,6 +234,25 @@ def test_known_counts_from_the_literature():
     assert brute_force_oracle(3, get_variety("band")) == 2
 
 
+def deep_law(k):
+    """x = x left-multiplied by x k times: the scanner of the outermost
+    product pins one compound operand per level below it."""
+    term = "x"
+    for _ in range(k):
+        term = f"x({term})" if len(term) > 1 else "xx"
+    return VarietySpec("deep", (parse_identity("x = " + term),))
+
+
+def test_the_model_search_takes_a_law_twenty_one_levels_deep():
+    v = deep_law(21)
+    assert enumerate_models(2, v).count == brute_force_oracle(2, v)
+
+
+def test_the_model_search_refuses_a_law_twenty_two_levels_deep():
+    with pytest.raises(ValueError, match="too deep for the model search"):
+        enumerate_models(2, deep_law(22))
+
+
 def test_witness_mode_needs_a_limit():
     with pytest.raises(ResourceLimitError):
         enumerate_models(12, ARAGB)
