@@ -87,7 +87,7 @@ def _cmd_check(args) -> int:
             "custom", tuple(parse_identity(text) for text in args.law)
         )
     else:
-        spec = get_variety(args.variety)
+        spec = get_variety(args.variety or "aragb")
     report = check_variety(g, spec)
     doc = {
         "variety": spec.name,
@@ -385,27 +385,29 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output rendering (default json)",
     )
 
-    p = sub.add_parser("build", parents=[fmt], help="emit a built-in table")
+    p = sub.add_parser("build", help="emit a built-in table")
     bsub = p.add_subparsers(dest="what", required=True)
     b = bsub.add_parser("g", parents=[fmt], help="the order-4 model")
-    b.set_defaults(func=_cmd_build, what="g")
+    b.set_defaults(func=_cmd_build)
     b = bsub.add_parser("gn", parents=[fmt], help="tower level n (order 4^n)")
     b.add_argument("--n", type=int, required=True)
-    b.set_defaults(func=_cmd_build, what="gn")
+    b.set_defaults(func=_cmd_build)
     b = bsub.add_parser("gbar", parents=[fmt], help="the order-16 counterexample")
     b.add_argument(
         "--from-table3", action="store_true", dest="from_table3",
         help="use the transcribed fixture instead of the derived table",
     )
-    b.set_defaults(func=_cmd_build, what="gbar")
+    b.set_defaults(func=_cmd_build)
     b = bsub.add_parser("j", parents=[fmt], help="the inner self-copy J_n")
     b.add_argument("--n", type=int, required=True)
-    b.set_defaults(func=_cmd_build, what="j")
+    b.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("check", parents=[fmt], help="check identities on a table")
     p.add_argument("input", nargs="?", default="-", help="Cayley JSON file or -")
-    p.add_argument("--variety", default="aragb", help="preset name")
-    p.add_argument(
+    # no default, so that an explicit --variety always conflicts with --law
+    laws = p.add_mutually_exclusive_group()
+    laws.add_argument("--variety", help="preset name (default aragb)")
+    laws.add_argument(
         "--law", action="append", default=[],
         help="inline identity, e.g. '(xy)z = (zy)x' (repeatable)",
     )
@@ -435,18 +437,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_canonical_iso)
 
-    p = sub.add_parser("decompose", parents=[fmt], help="band decompositions")
+    p = sub.add_parser("decompose", help="band decompositions")
     dsub = p.add_subparsers(dest="mode", required=True)
     d = dsub.add_parser("blocks", parents=[fmt], help="check a partition")
     d.add_argument("input")
     d.add_argument("--partition", required=True, help="JSON list of blocks")
-    d.set_defaults(func=_cmd_decompose, mode="blocks")
+    d.set_defaults(func=_cmd_decompose)
     d = dsub.add_parser("gcopies", parents=[fmt], help="split into order-4 copies")
     d.add_argument("input")
-    d.set_defaults(func=_cmd_decompose, mode="gcopies")
+    d.set_defaults(func=_cmd_decompose)
     d = dsub.add_parser("extension", parents=[fmt], help="quarters of level n")
     d.add_argument("--n", type=int, required=True)
-    d.set_defaults(func=_cmd_decompose, mode="extension")
+    d.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("spectrum", parents=[fmt], help="model counts by order")
     p.add_argument("--variety", default="aragb")

@@ -11,8 +11,6 @@ can be diffed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import IntEnum
 from operator import itemgetter
 
 from .errors import ResourceLimitError
@@ -39,40 +37,13 @@ def standard_g() -> FiniteGroupoid:
 # the order-quadrupling extension
 #
 # extend(h, a, x) has carrier h + xh + hx + (ax)h, indexed in four blocks of
-# |h|.  The fresh generator x is the AX-block element at the designated
+# |h|.  The fresh generator x is the (ax)h-block element at the designated
 # position, since (ax)a = x under the anti-rectangular law.  Each of the 16
 # block pairs multiplies into a single block, with the inner index given by a
 # fixed word in the base product p; the words below are written for row inner
 # index i, column inner index j and designated element a.  They are the scalar
 # form: extend evaluates the same words a whole block row at a time, and
 # limit_product one cell at a time.
-
-
-class Block(IntEnum):
-    BASE = 0
-    X_LEFT = 1  # x * h
-    X_RIGHT = 2  # h * x
-    AX = 3  # (a * x) * h
-
-
-@dataclass(frozen=True)
-class TowerElement:
-    """Position of one element inside a tower level."""
-
-    level: int
-    index: int
-    block: Block
-    base_index: int
-
-
-def tower_element(level: int, index: int) -> TowerElement:
-    if level < 0 or not 0 <= index < 4 ** level:
-        raise IndexError(f"no element {index} at level {level}")
-    if level == 0:
-        return TowerElement(0, 0, Block.BASE, 0)
-    quarter = 4 ** (level - 1)
-    return TowerElement(level, index, Block(index // quarter), index % quarter)
-
 
 _EXT_CELLS = {
     (0, 0): (0, lambda p, i, j, a: p(i, j)),
@@ -296,44 +267,21 @@ _GBAR_WORDS = {
 }
 
 
-@dataclass(frozen=True)
-class GbarScaffold:
-    """Block-level description the order-16 table is built from."""
-
-    base_copy: FiniteGroupoid
-    block_table: tuple[tuple[str, ...], ...]
-    component_formulas: dict[tuple[str, str], str]
-
-
-def gbar_scaffold() -> GbarScaffold:
-    base = FiniteGroupoid(_G_TABLE, ("a", "x", "ax", "xa"))
-    block_table = tuple(
-        tuple(_BLOCK_SYMBOLS[v] for v in row) for row in _G_TABLE
-    )
-    return GbarScaffold(base, block_table, dict(_GBAR_WORDS))
-
-
 def gbar_derived() -> FiniteGroupoid:
     """The order-16 table built from its block description (ground truth)."""
-    scaffold = gbar_scaffold()
-    m = scaffold.base_copy.table
-    sym_index = {s: k for k, s in enumerate(_BLOCK_SYMBOLS)}
-    terms = {
-        key: parse_term(src) for key, src in scaffold.component_formulas.items()
-    }
+    terms = {key: parse_term(src) for key, src in _GBAR_WORDS.items()}
     params = _GBAR_PARAMS
     inv = tuple({v: p for p, v in enumerate(row)} for row in params)
     table = [[0] * 16 for _ in range(16)]
     for rb in range(4):
-        rsym = _BLOCK_SYMBOLS[rb]
         for cb in range(4):
-            ob = sym_index[scaffold.block_table[rb][cb]]
-            term = terms[(rsym, _BLOCK_SYMBOLS[cb])]
+            ob = _G_TABLE[rb][cb]
+            term = terms[(_BLOCK_SYMBOLS[rb], _BLOCK_SYMBOLS[cb])]
             for rp in range(4):
                 for cp in range(4):
                     env = {"g": params[rb][rp], "h": params[cb][cp],
                            "a": 0, "x": 1}
-                    value = eval_term(term, m, env)
+                    value = eval_term(term, _G_TABLE, env)
                     table[rb * 4 + rp][cb * 4 + cp] = ob * 4 + inv[ob][value]
     return FiniteGroupoid(tuple(tuple(r) for r in table), GBAR_LABELS)
 
@@ -383,19 +331,3 @@ def diff_tables(a: FiniteGroupoid, b: FiniteGroupoid) -> tuple[tuple[int, int, i
         for j in range(n)
         if a.table[i][j] != b.table[i][j]
     )
-
-
-# ---------------------------------------------------------------------------
-# a square-order witness family for the law (xy)(yz) = y
-
-
-def square_pair_model(k: int) -> FiniteGroupoid:
-    """Order k*k model of (xy)(yz) = y: pairs multiply by (a,b)(c,d) = (b,c)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    n = k * k
-    table = tuple(
-        tuple((i % k) * k + (j // k) for j in range(n)) for i in range(n)
-    )
-    labels = tuple(f"p{i // k}{i % k}" for i in range(n))
-    return FiniteGroupoid(table, labels)

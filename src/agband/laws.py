@@ -48,11 +48,6 @@ class Identity:
     lhs: Term
     rhs: Term
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        """Variable names in order of first occurrence, left side first."""
-        return variables(self)
-
     def __str__(self) -> str:
         return f"{pretty(self.lhs)} = {pretty(self.rhs)}"
 
@@ -204,15 +199,14 @@ class IdentityReport:
     assignments: int  # assignments swept, counting the failing one
 
 
-_KERNELS: dict[tuple[str, bool], object] = {}
-
 # CPython compiles at most 20 statically nested blocks, and each loop of a
 # kernel is one: the full kernel nests one per variable, a delta scanner one
 # per compound operand it pins plus one per variable left free.
 _MAX_LOOPS = 20
 
 
-def _compile_kernel(identity: Identity, partial: bool):
+@lru_cache(maxsize=None)
+def _compile_kernel(identity: Identity, partial: bool = False):
     """Build the checker for this identity's shape.
 
     The full kernel is ``_kernel(t, n, lines)``: it sweeps every assignment
@@ -392,17 +386,6 @@ def _compile_kernel(identity: Identity, partial: bool):
     return ns[fname]
 
 
-@lru_cache(maxsize=None)
-def _kernel_for(identity: Identity, partial: bool = False):
-    # memoised on the identity itself, whose hash is cheaper than alpha_key;
-    # alpha-equivalent identities still share one kernel through _KERNELS
-    key = (alpha_key(identity), partial)
-    kern = _KERNELS.get(key)
-    if kern is None:
-        kern = _KERNELS[key] = _compile_kernel(identity, partial)
-    return kern
-
-
 def _byte_lines(g):
     """The rows and columns of g's table as 256-byte ``bytes.translate``
     tables, or None above order 256, where the kernels loop on scalars."""
@@ -426,7 +409,7 @@ def check_identity(g, identity: Identity, _lines=None) -> IdentityReport:
         )
     if _lines is None:
         _lines = _byte_lines(g)
-    bad = _kernel_for(identity)(g.table, g.order, _lines)
+    bad = _compile_kernel(identity)(g.table, g.order, _lines)
     if bad is None:
         return IdentityReport(identity, True, None, g.order ** len(names))
     rank = 0

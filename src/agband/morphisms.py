@@ -51,37 +51,14 @@ class Mapping:
         )
 
 
-def identity_mapping(g: FiniteGroupoid) -> Mapping:
-    return Mapping(g.order, g.order, tuple(range(g.order)))
-
-
-def compose(first: Mapping, then: Mapping) -> Mapping:
-    """Apply ``first``, then ``then``.  The result is left unverified."""
-    if first.target_order != then.source_order:
-        raise ValueError("orders do not chain")
-    return Mapping(
-        first.source_order,
-        then.target_order,
-        tuple(then.images[v] for v in first.images),
-    )
-
-
 def _is_hom(images, s_table, d_table, n) -> bool:
+    """Whether images is a homomorphism; into the transposed target table,
+    ``tuple(zip(*d_table))``, whether it is an anti-homomorphism."""
     for i in range(n):
         row = s_table[i]
         fi = images[i]
         for j in range(n):
             if images[row[j]] != d_table[fi][images[j]]:
-                return False
-    return True
-
-
-def _is_anti_hom(images, s_table, d_table, n) -> bool:
-    for i in range(n):
-        row = s_table[i]
-        fi = images[i]
-        for j in range(n):
-            if images[row[j]] != d_table[images[j]][fi]:
                 return False
     return True
 
@@ -96,7 +73,7 @@ def classify_mapping(f: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Ma
     n = src.order
     if _is_hom(f.images, src.table, dst.table, n):
         return MapKind.ISO
-    if _is_anti_hom(f.images, src.table, dst.table, n):
+    if _is_hom(f.images, src.table, tuple(zip(*dst.table)), n):
         return MapKind.ANTI_ISO
     return MapKind.NEITHER
 
@@ -128,19 +105,6 @@ def cycle_type(perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def cycle_type_name(ct: tuple[int, ...]) -> str:
-    if all(c == 1 for c in ct):
-        return "identity"
-    moved = [c for c in ct if c > 1]
-    if moved == [2]:
-        return "transposition"
-    if moved == [2, 2]:
-        return "double-transposition"
-    if len(moved) == 1:
-        return f"{moved[0]}-cycle"
-    return "+".join(str(c) for c in ct)
-
-
 @dataclass(frozen=True)
 class BijectionCensus:
     order: int
@@ -161,12 +125,13 @@ def classify_all_bijections(g: FiniteGroupoid) -> BijectionCensus:
             f"{_CENSUS_LIMIT}"
         )
     t = g.table
+    t_op = tuple(zip(*t))
     counts = {MapKind.ISO: 0, MapKind.ANTI_ISO: 0, MapKind.NEITHER: 0}
     by_type: dict[tuple[MapKind, tuple[int, ...]], int] = {}
     for perm in itertools.permutations(range(n)):
         if _is_hom(perm, t, t, n):
             kind = MapKind.ISO
-        elif _is_anti_hom(perm, t, t, n):
+        elif _is_hom(perm, t, t_op, n):
             kind = MapKind.ANTI_ISO
         else:
             kind = MapKind.NEITHER
@@ -267,7 +232,7 @@ def iso_search(src: FiniteGroupoid, dst: FiniteGroupoid,
     want = MapKind.ANTI_ISO if anti else MapKind.ISO
     if f.kind != want and not (
         anti and f.kind == MapKind.ISO
-        and _is_anti_hom(f.images, src.table, dst.table, n)
+        and _is_hom(f.images, src.table, tuple(zip(*dst.table)), n)
     ):
         raise SearchInvariantError(
             f"search produced a mapping that re-verifies as {f.kind}, not {want}"
@@ -290,7 +255,9 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
     """
     kind = classify_mapping(phi, src, dst)
     n = src.order
-    if kind == MapKind.ISO and _is_anti_hom(phi.images, src.table, dst.table, n):
+    if kind == MapKind.ISO and _is_hom(
+        phi.images, src.table, tuple(zip(*dst.table)), n
+    ):
         # commutative case: the given mapping already is an isomorphism
         return replace(phi, kind=MapKind.ISO)
     if kind != MapKind.ANTI_ISO:

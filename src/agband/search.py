@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResourceLimitError, SearchInvariantError
-from .groupoid import FiniteGroupoid, default_labels
+from .groupoid import FiniteGroupoid
 from .laws import (
     Var,
     VarietySpec,
-    _kernel_for,
+    _compile_kernel,
     alpha_key,
     check_variety,
     parse_identity,
@@ -99,11 +99,6 @@ def canonical_table(
         if best is None or cand < best:
             best = cand
     return best
-
-
-def canonical_form(g: FiniteGroupoid) -> FiniteGroupoid:
-    """The isomorphism-class representative with the lex-least table."""
-    return FiniteGroupoid(canonical_table(g.table), default_labels(g.order))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +172,7 @@ def enumerate_models(
             f"to search for witnesses instead"
         )
     scanners = [
-        _kernel_for(ident, partial=True)
+        _compile_kernel(ident, partial=True)
         for ident, k in zip(v.identities, keys)
         if k not in _IDEMPOTENT_KEYS and k not in _FORCING_KEYS
     ]

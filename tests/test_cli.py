@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,48 @@ def test_build_text_format_renders_a_table(capsys):
     assert "ab" in out and "*" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--format", "text", "g"],
+    ["decompose", "--format", "text", "extension", "--n", "2"],
+])
+def test_format_before_the_mode_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
+
+
+# (argv, exit code, the start of a line of the text rendering); "{g}" is the
+# order-4 model
+TEXT_VIEWS = [
+    (["build", "g"], 0, "a   a   ab  ba  b"),
+    (["build", "gn", "--n", "2"], 0, "x1         x1*a       x1*b       x1*ab"),
+    (["build", "gbar"], 0, "a         a         ax        xa        x  "),
+    (["build", "j", "--n", "1"], 0, "a*x1  x1    a     a*x1  x1*a"),
+    (["check", "{g}"], 0, "ARAGB on order 4: holds"),
+    (["iso", "{g}", "{g}"], 0, "kind: ISO"),
+    (["classify-bijections", "{g}"], 0, "ANTI_ISO: 12"),
+    (["canonical-iso", "{g}"], 0, "ab -> 2"),
+    (["decompose", "blocks", "{g}", "--partition", "[[0], [1], [2], [3]]"],
+     0, "B3: [3]"),
+    (["decompose", "gcopies", "{g}"], 0, "B0: [0, 1, 2, 3]"),
+    (["decompose", "extension", "--n", "1"], 0, "B0: [0]"),
+    (["spectrum", "--max-order", "4"], 0, "order 4: 1"),
+    (["models", "--order", "4"], 0, "e0  e0  e2  e3  e1"),
+    (["diff", "{g}", "{g}"], 0, "tables match"),
+    (["limit-product", "5", "6"], 0, "4"),
+    (["verify-paper", "--only", "table-3"], 0, "overall: PASS"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", TEXT_VIEWS,
+                         ids=[" ".join(v[0][:2]) for v in TEXT_VIEWS])
+def test_every_subcommand_renders_text(argv, code, line, g_file, capsys):
+    argv = [a.replace("{g}", g_file) for a in argv] + ["--format", "text"]
+    assert run(argv) == code
+    out = capsys.readouterr().out.splitlines()
+    assert any(row.startswith(line) for row in out)
+
+
 def test_check_passes_on_file_input(g_file, capsys):
     assert run(["check", g_file, "--variety", "aragb"]) == 0
     doc = out_json(capsys)
@@ -74,6 +117,17 @@ def test_check_fails_with_exit_one(tmp_path, capsys):
 def test_check_accepts_inline_laws(g_file, capsys):
     assert run(["check", g_file, "--law", "(xy)x = y", "--law", "x = xx"]) == 0
     assert run(["check", g_file, "--law", "xy = yx"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--variety", "medial", "--law", "x = xx"],
+    ["--variety", "aragb", "--law", "x = xx"],
+    ["--law", "x = xx", "--variety", "aragb"],
+])
+def test_check_refuses_both_a_variety_and_a_law(argv, g_file, capsys):
+    assert run(["check", g_file, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with" in captured.err
 
 
 def test_check_refuses_a_law_with_more_than_twenty_variables(g_file, capsys):
@@ -310,6 +364,20 @@ def test_verify_paper_single_claim(capsys):
 
 def test_verify_paper_unknown_claim_is_a_usage_error(capsys):
     assert run(["verify-paper", "--only", "nonsense-99"]) == 2
+
+
+@pytest.mark.parametrize("only", ["", ","])
+def test_verify_paper_with_no_claim_selected_is_a_usage_error(only, capsys):
+    assert run(["verify-paper", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no claim ids selected\n"
+
+
+def test_verify_paper_json_matches_the_golden_file(capsys):
+    golden = Path(__file__).with_name("golden") / "verify-paper.json"
+    assert run(["verify-paper", "--format", "json"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -8,14 +8,11 @@ from agband.construct import (
     diff_tables,
     extend,
     gbar_derived,
-    gbar_scaffold,
     gbar_table3,
     j_subband,
     limit_product,
-    square_pair_model,
     standard_g,
     tower,
-    tower_element,
     tower_level,
 )
 from agband import construct
@@ -126,13 +123,6 @@ def test_tower_refuses_levels_above_five_before_building():
     assert len(construct._tower_cache) == built
 
 
-def test_tower_element_addressing():
-    e = tower_element(2, 13)
-    assert e.level == 2 and e.index == 13
-    with pytest.raises(IndexError):
-        tower_element(1, 4)
-
-
 def test_adjoined_generator_indices():
     assert adjoined_generator_index(2) == 12
     assert adjoined_generator_index(3) == 48
@@ -182,13 +172,6 @@ def test_j_subband_is_a_proper_copy_of_the_previous_level():
     assert iso_search(j2, tower_level(2)) is not None
 
 
-def test_gbar_scaffold_block_structure():
-    sc = gbar_scaffold()
-    assert len(sc.component_formulas) == 16
-    assert sc.base_copy.table == standard_g().table
-    assert sc.block_table[0] == ("A", "AB", "BA", "B")
-
-
 def test_gbar_derived_is_an_ag_band_but_not_anti_rectangular():
     gbar = gbar_derived()
     assert gbar.order == 16
@@ -206,12 +189,3 @@ def test_diff_tables_requires_equal_orders():
     with pytest.raises(ValueError):
         diff_tables(standard_g(), gbar_derived())
     assert diff_tables(standard_g(), standard_g()) == ()
-
-
-def test_square_pair_model_satisfies_the_collapsing_law():
-    for k in (1, 2, 3):
-        m = square_pair_model(k)
-        assert m.order == k * k
-        assert check_variety(m, get_variety("evans")).holds
-    with pytest.raises(ValueError):
-        square_pair_model(0)

@@ -18,7 +18,7 @@ from agband.laws import (
     Var,
     VarietySpec,
     _byte_lines,
-    _kernel_for,
+    _compile_kernel,
     alpha_key,
     check_identity,
     check_variety,
@@ -95,14 +95,10 @@ def test_alpha_key_ignores_names_but_not_shape():
     assert alpha_key(parse_identity("x(yx) = y")) != alpha_key(ANTI_RECTANGULAR)
 
 
-def test_alpha_equivalent_identities_share_one_kernel():
+def test_alpha_equivalent_identities_report_their_own_names():
     a = parse_identity("(xy)z = (zy)x")
     b = parse_identity("(ab)c = (cb)a")
     assert a != b and alpha_key(a) == alpha_key(b)
-    assert _kernel_for(a) is _kernel_for(b)
-    assert _kernel_for(a, partial=True) is _kernel_for(b, partial=True)
-    assert _kernel_for(a) is not _kernel_for(a, partial=True)
-    # each report still names the identity and the variables it was given
     right_zero = FiniteGroupoid(table=((0, 1), (0, 1)))
     for ident, names in ((a, "xyz"), (b, "abc")):
         report = check_identity(right_zero, ident)
@@ -127,7 +123,7 @@ def reference_report(g, ident):
 
 
 def lowers_to_vectors(ident):
-    return "translate" in _kernel_for(ident).__code__.co_names
+    return "translate" in _compile_kernel(ident).__code__.co_names
 
 
 PRESET_LAWS = tuple(
@@ -214,7 +210,7 @@ def test_law_variables_named_like_kernel_arguments(text):
     want = reference_report(g, ident)
     assert not want.holds
     assert check_identity(g, ident) == want
-    scalar = _kernel_for(ident)(g.table, g.order, None)
+    scalar = _compile_kernel(ident)(g.table, g.order, None)
     assert scalar == tuple(want.counterexample.values())
 
 

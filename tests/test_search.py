@@ -12,7 +12,7 @@ from agband.laws import (
     Prod,
     Var,
     VarietySpec,
-    _kernel_for,
+    _compile_kernel,
     check_variety,
     get_variety,
     parse_identity,
@@ -22,7 +22,6 @@ from agband.morphisms import iso_search
 from agband.search import (
     SearchOutcome,
     brute_force_oracle,
-    canonical_form,
     canonical_table,
     enumerate_models,
     spectrum_scan,
@@ -89,7 +88,7 @@ def test_delta_scanner_finds_exactly_the_failures_reading_a_cell(
         if left is not None and right is not None and left != right:
             if (i, j) in cells:
                 failing.add(vals)
-    got = _kernel_for(ident, partial=True)(table, n, by_value, i, j)
+    got = _compile_kernel(ident, partial=True)(table, n, by_value, i, j)
     assert (got is None) == (not failing)
     assert got is None or got in failing
 
@@ -97,7 +96,7 @@ def test_delta_scanner_finds_exactly_the_failures_reading_a_cell(
 def test_delta_scanner_on_a_table_with_a_hole():
     # (xy)z = (zy)x fails at (0, 0, 1) and (1, 0, 0), which both read the
     # cells (0, 0), (0, 1) and (1, 0); the hole (1, 1) decides nothing
-    scan = _kernel_for(parse_identity("(xy)z = (zy)x"), partial=True)
+    scan = _compile_kernel(parse_identity("(xy)z = (zy)x"), partial=True)
     table = [[0, 1], [0, None]]
     by_value = [[(0, 0), (1, 0)], [(0, 1)]]
     for cell in ((0, 0), (0, 1), (1, 0)):
@@ -115,11 +114,6 @@ def test_canonical_table_is_a_relabelling_invariant():
 def test_canonical_table_order_limit():
     with pytest.raises(ResourceLimitError):
         canonical_table(tower_level(2).table)
-
-
-def test_canonical_form_wraps_with_default_labels():
-    g = canonical_form(standard_g())
-    assert g.labels == ("e0", "e1", "e2", "e3")
 
 
 def test_single_order_four_model_up_to_isomorphism():

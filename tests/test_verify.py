@@ -44,6 +44,11 @@ def test_unknown_claim_id_is_rejected():
         run_claims(only=["theorem-999"])
 
 
+def test_empty_selection_is_rejected():
+    with pytest.raises(ValueError, match="no claim ids selected"):
+        run_claims(only=[])
+
+
 def test_table_discrepancy_is_an_expected_pass():
     report = run_claims(only=["table-3"])
     (row,) = report.results
