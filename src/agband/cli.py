@@ -369,6 +369,15 @@ def _cmd_verify_paper(args) -> int:
 # parser
 
 
+class _FormatBeforeMode(argparse.Action):
+    """``--format`` ahead of a group's mode would be read as the mode; name
+    the option and where it goes instead."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the mode, as in "
+                     f"'{parser.prog} <mode> ... --format {values}'")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agband",
@@ -386,6 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("build", help="emit a built-in table")
+    p.add_argument("--format", action=_FormatBeforeMode, help=argparse.SUPPRESS)
     bsub = p.add_subparsers(dest="what", required=True)
     b = bsub.add_parser("g", parents=[fmt], help="the order-4 model")
     b.set_defaults(func=_cmd_build)
@@ -438,6 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_canonical_iso)
 
     p = sub.add_parser("decompose", help="band decompositions")
+    p.add_argument("--format", action=_FormatBeforeMode, help=argparse.SUPPRESS)
     dsub = p.add_subparsers(dest="mode", required=True)
     d = dsub.add_parser("blocks", parents=[fmt], help="check a partition")
     d.add_argument("input")

@@ -70,14 +70,6 @@ class FiniteGroupoid:
     def order(self) -> int:
         return len(self.table)
 
-    def product(self, i: int, j: int) -> int:
-        n = self.order
-        if not (isinstance(i, int) and 0 <= i < n):
-            raise IndexError(f"left index {i!r} out of range for order {n}")
-        if not (isinstance(j, int) and 0 <= j < n):
-            raise IndexError(f"right index {j!r} out of range for order {n}")
-        return self.table[i][j]
-
     def opposite(self) -> "FiniteGroupoid":
         """Transpose of the table; same carrier, same labels."""
         n = self.order

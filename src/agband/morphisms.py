@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .construct import standard_g, tower_level
+from .construct import tower_level
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
 from .laws import require_aragb
@@ -247,11 +247,11 @@ def iso_search(src: FiniteGroupoid, dst: FiniteGroupoid,
 def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mapping:
     """Given an anti-isomorphism src -> dst, produce an isomorphism.
 
-    At order 4 the isomorphism is written down directly: keep the images of
-    the two generators c = 0 and d = 1 and swap the images of cd and dc.
-    Larger orders fall back to iso_search; a fruitless search is an invariant
-    violation, not a normal miss, because an anti-isomorphic pair of these
-    bands is always isomorphic.
+    Both bands map onto the tower level of their order by ``canonical_iso``:
+    src in index order, dst enumerated as the images of phi.  The result is
+    the first map followed by the inverse of the second, re-verified.  At
+    order 4 this keeps the images of the generators c = 0 and d = 1 and
+    swaps the images of cd and dc.
     """
     kind = classify_mapping(phi, src, dst)
     n = src.order
@@ -263,26 +263,13 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
     if kind != MapKind.ANTI_ISO:
         raise ValueError(f"expected an ANTI_ISO mapping, got {kind}")
     require_aragb(src, "source")
-    if n == 4:
-        c, d = 0, 1
-        cd = src.table[c][d]
-        dc = src.table[d][c]
-        images = [-1] * 4
-        images[c] = phi.images[c]
-        images[d] = phi.images[d]
-        images[cd] = phi.images[dc]
-        images[dc] = phi.images[cd]
-        f = verified(images, src, dst)
-        if f.kind != MapKind.ISO:
-            raise SearchInvariantError(
-                "generator-swap recipe failed to produce an isomorphism"
-            )
-        return f
-    f = iso_search(src, dst, anti=False)
-    if f is None:
+    back = [0] * n
+    for e, image in enumerate(canonical_iso(dst, phi.images).images):
+        back[image] = e
+    f = verified([back[image] for image in canonical_iso(src).images], src, dst)
+    if f.kind != MapKind.ISO:
         raise SearchInvariantError(
-            "anti-isomorphic pair admits no isomorphism; this contradicts the "
-            "structure theory and indicates corrupt input"
+            f"composed mapping re-verifies as {f.kind}, not ISO"
         )
     return f
 
@@ -292,12 +279,14 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
 
 
 def two_generator_recipe(g: FiniteGroupoid, c: int, d: int):
-    """Materialize <c, d> and map it onto the standard model by
-    c -> a, d -> b, cd -> ab, dc -> ba.
+    """Materialize <c, d> and map it onto the order-4 model by
+    c -> a, d -> b, cd -> ab, dc -> ba: the first stage of
+    ``canonical_iso`` with c and d enumerated first.
 
     Returns (subgroupoid, carrier, mapping).  In any groupoid satisfying the
     three defining laws the carrier has exactly four elements and the mapping
-    verifies as ISO.
+    verifies as ISO; a four-element span outside the variety raises
+    VarietyError.
     """
     if c == d:
         raise ValueError("generators must be distinct")
@@ -307,13 +296,9 @@ def two_generator_recipe(g: FiniteGroupoid, c: int, d: int):
         raise SearchInvariantError(
             f"<{c}, {d}> has {sub.order} elements, expected 4"
         )
-    pos = {v: k for k, v in enumerate(carrier)}
-    images = [-1] * 4
-    images[pos[c]] = 0
-    images[pos[d]] = 1
-    images[pos[g.table[c][d]]] = 2
-    images[pos[g.table[d][c]]] = 3
-    return sub, carrier, verified(images, sub, standard_g())
+    first = (carrier.index(c), carrier.index(d))
+    rest = (k for k in range(4) if k not in first)
+    return sub, carrier, canonical_iso(sub, (*first, *rest))
 
 
 def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
@@ -325,7 +310,11 @@ def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     element not yet covered.  Images are forced by the three product shapes
     of the extension (left product, right product, and product through the
     seed), so the construction either succeeds in one pass or trips an
-    invariant error; the result is re-verified before returning.
+    invariant error.  The result is re-verified over all pairs against the
+    tower level, which is an anti-rectangular AG-band, so success is its own
+    proof that k is one too.  Only when the construction fails are k's laws
+    swept, and a violated law raises VarietyError ahead of the invariant
+    error.
     """
     n = k.order
     level = 0
@@ -338,12 +327,19 @@ def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     enumeration = tuple(enumeration)
     if sorted(enumeration) != list(range(n)):
         raise ValueError("enumeration must be a permutation of the indices")
-    require_aragb(k, "input")
+    try:
+        return _staged_iso(k, enumeration, level)
+    except SearchInvariantError:
+        require_aragb(k, "input")
+        raise
 
+
+def _staged_iso(k: FiniteGroupoid, enumeration: tuple[int, ...],
+                level: int) -> Mapping:
+    n = k.order
     target = tower_level(level)
     tt = target.table
     tk = k.table
-    rank = {e: r for r, e in enumerate(enumeration)}
 
     y1, y2 = enumeration[0], enumeration[1]
     phi = {y1: 0, y2: 1, tk[y1][y2]: 2, tk[y2][y1]: 3}
@@ -352,9 +348,7 @@ def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
                                    "than four elements")
 
     for m in range(1, level):
-        covered = set(phi)
-        outside = [e for e in enumeration if e not in covered]
-        y = min(outside, key=rank.__getitem__)
+        y = next(e for e in enumeration if e not in phi)
         x_idx = 3 * 4 ** m
         y1y = tk[y1][y]
         new_phi = dict(phi)

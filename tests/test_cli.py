@@ -65,6 +65,19 @@ def test_format_before_the_mode_is_a_usage_error(argv, capsys):
     assert captured.out == "" and "usage:" in captured.err
 
 
+def test_format_before_the_mode_names_the_option(fresh_python):
+    for group, argv in (
+        ("build", ["g"]),
+        ("decompose", ["extension", "--n", "2"]),
+    ):
+        proc = fresh_python("-m", "agband.cli", group, "--format", "text", *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            f"agband {group}: error: --format goes after the mode, as in "
+            f"'agband {group} <mode> ... --format text'"
+        )
+
+
 # (argv, exit code, the start of a line of the text rendering); "{g}" is the
 # order-4 model
 TEXT_VIEWS = [

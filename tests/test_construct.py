@@ -31,8 +31,8 @@ def test_standard_g_is_the_known_order_four_model():
     assert g.labels == ("a", "b", "ab", "ba")
     assert check_variety(g, ARAGB).holds
     # the two generators really do produce the other two elements
-    assert g.product(0, 1) == 2
-    assert g.product(1, 0) == 3
+    assert g.table[0][1] == 2
+    assert g.table[1][0] == 3
 
 
 def test_every_unordered_pair_of_g_generates_the_whole_thing():

@@ -59,14 +59,6 @@ def test_default_labels_fill_in():
     assert g.labels == default_labels(2) == ("e0", "e1")
 
 
-def test_product_bounds():
-    with pytest.raises(IndexError):
-        Z3.product(0, 3)
-    with pytest.raises(IndexError):
-        Z3.product(-1, 0)
-    assert Z3.product(1, 2) == 0
-
-
 @given(small_tables())
 def test_opposite_is_an_involution(table):
     g = FiniteGroupoid(table=table)

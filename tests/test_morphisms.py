@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from agband.construct import gbar_derived, standard_g, tower_level
+from agband.decompose import g_copy_partition
 from agband.errors import SearchInvariantError, VarietyError
 from agband.groupoid import FiniteGroupoid
+from agband.laws import require_aragb
 from agband.morphisms import (
     MapKind,
     Mapping,
@@ -19,6 +22,12 @@ from agband.morphisms import (
 )
 
 G = standard_g()
+
+
+def shuffled(g, seed):
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
 
 
 def test_identity_mapping_is_an_isomorphism():
@@ -94,6 +103,7 @@ def test_iso_search_returns_none_between_different_orders():
 
 def test_anti_to_iso_rebuilds_an_isomorphism():
     count = 0
+    cd, dc = G.table[0][1], G.table[1][0]
     for images in itertools.permutations(range(4)):
         phi = verified(images, G, G)
         if phi.kind is not MapKind.ANTI_ISO:
@@ -101,7 +111,25 @@ def test_anti_to_iso_rebuilds_an_isomorphism():
         count += 1
         psi = anti_to_iso(phi, G, G)
         assert psi.kind is MapKind.ISO
+        # the generator swap: c = 0 and d = 1 keep their images, cd and dc
+        # trade theirs
+        swap = list(images)
+        swap[cd], swap[dc] = images[dc], images[cd]
+        assert psi.images == tuple(swap)
     assert count == 12
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_anti_to_iso_past_order_four(level):
+    src = tower_level(level)
+    perm = list(range(src.order))
+    random.Random(level).shuffle(perm)
+    dst = src.opposite().relabel(perm)
+    phi = verified(perm, src, dst)
+    assert phi.kind is MapKind.ANTI_ISO
+    psi = anti_to_iso(phi, src, dst)
+    assert psi.kind is MapKind.ISO
+    assert classify_mapping(psi, src, dst) is MapKind.ISO
 
 
 def test_anti_to_iso_requires_the_right_variety():
@@ -136,6 +164,12 @@ def test_two_generator_recipe_inside_a_larger_model():
     assert phi.kind is MapKind.ISO
 
 
+def test_two_generator_recipe_refuses_a_span_outside_the_variety():
+    z4 = FiniteGroupoid(tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4)))
+    with pytest.raises(VarietyError, match=r"^input violates '"):
+        two_generator_recipe(z4, 0, 1)
+
+
 def test_canonical_iso_on_shuffled_towers():
     h = tower_level(2).relabel(tuple(reversed(range(16))))
     phi = canonical_iso(h)
@@ -143,7 +177,53 @@ def test_canonical_iso_on_shuffled_towers():
     assert phi.source_order == 16
 
 
-def test_canonical_iso_rejects_non_power_of_four_orders():
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_canonical_iso_sweeps_no_laws_on_valid_input(level, monkeypatch):
+    def no_sweep(g, who):
+        raise AssertionError("the law sweep ran on valid input")
+
+    monkeypatch.setattr("agband.morphisms.require_aragb", no_sweep)
+    h = shuffled(tower_level(level), level)
+    assert canonical_iso(h).kind is MapKind.ISO
+    assert len(g_copy_partition(h).blocks) == h.order // 4
+
+
+def assert_refused_like_the_law_sweep(g):
+    with pytest.raises(VarietyError) as want:
+        require_aragb(g, "input")
+    with pytest.raises(VarietyError) as got:
+        canonical_iso(g)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("level, cells", [
+    (level, cells) for level in (2, 3, 4) for cells in (1, 2, 5)
+])
+def test_canonical_iso_names_the_law_a_corrupted_level_violates(level, cells):
+    g = shuffled(tower_level(level), level)
+    rng = random.Random(cells)
+    table = [list(row) for row in g.table]
+    for k in rng.sample(range(g.order ** 2), cells):
+        i, j = divmod(k, g.order)
+        table[i][j] = (table[i][j] + rng.randrange(1, g.order)) % g.order
+    assert_refused_like_the_law_sweep(FiniteGroupoid(table))
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (4, 16) for seed in range(3)])
+def test_canonical_iso_names_the_law_a_random_table_violates(n, seed):
+    rng = random.Random(seed)
+    table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    assert_refused_like_the_law_sweep(FiniteGroupoid(table))
+
+
+def test_canonical_iso_rejects_tables_outside_the_variety():
     with pytest.raises(VarietyError, match=r"^input violates '") as err:
         canonical_iso(gbar_derived())
     assert not err.value.report.holds
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_canonical_iso_rejects_orders_that_are_not_powers_of_four(n):
+    g = FiniteGroupoid(tuple(tuple(range(n)) for _ in range(n)))
+    with pytest.raises(ValueError, match=r"is not 4\*\*n"):
+        canonical_iso(g)
