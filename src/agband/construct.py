@@ -94,26 +94,27 @@ def extend(base: FiniteGroupoid, designated: int = 0,
     require_aragb(base, "base")
     m = base.table
     a = designated
-    # Each word is at most two base lookups, so each block row is a base row
-    # or column, or one gathered at another row or column: R[ob][r] is row r
-    # and C[ob][c] column c, both shifted by ob * n; at_row[r] gathers at the
-    # entries of row r, at_col[c] at those of column c.
-    at_row = [itemgetter(*r) for r in m]
-    at_col = [itemgetter(*c) for c in zip(*m)]
+    cols = tuple(zip(*m))
+    js = range(n)
+
+    # Each word reads j once, so evaluating it at the vector js gives a whole
+    # block row: an int times a vector gathers a base row, a vector times an
+    # int a base column, and js itself stands for the row or column.  A
+    # gather from shifted[ob] then moves the row into output block ob.
+    def p(u, v):
+        if isinstance(v, int):
+            if isinstance(u, int):
+                return m[u][v]
+            return cols[v] if u is js else itemgetter(*u)(cols[v])
+        return m[u] if v is js else itemgetter(*v)(m[u])
+
     shifted = [tuple(range(ob * n, (ob + 1) * n)) for ob in range(4)]
-    R = [[g(s) for g in at_row] for s in shifted]
-    C = [[g(s) for g in at_col] for s in shifted]
-    at_a, row_a, col_a = at_col[a], m[a], C[0][a]
-    table = (
-        [R[0][i] + at_a(C[3][i]) + C[1][i] + at_row[i](C[2][row_a[i]])
-         for i in range(n)]
-        + [C[2][i] + R[1][i] + C[3][row_a[i]] + at_row[i](R[0][a])
-           for i in range(n)]
-        + [at_col[i](R[3][col_a[i]]) + C[0][i] + R[2][i] + R[1][row_a[i]]
-           for i in range(n)]
-        + [at_a(R[1][i]) + at_row[i](C[2][a]) + at_a(R[0][row_a[i]]) + R[3][i]
-           for i in range(n)]
-    )
+    words = [[_EXT_CELLS[(rb, cb)] for cb in range(4)] for rb in range(4)]
+    table = [
+        sum((itemgetter(*word(p, i, js, a))(shifted[ob])
+             for ob, word in row), ())
+        for row in words for i in js
+    ]
     ax = _mul_label(base.labels[a], x_label)
     labels = (
         list(base.labels)
@@ -143,8 +144,8 @@ def _require_level_in_envelope(n: int) -> None:
         )
 
 
-def tower(n: int) -> tuple[FiniteGroupoid, ...]:
-    """Levels 0..n of the iterated extension.
+def tower_level(n: int) -> FiniteGroupoid:
+    """Level n of the iterated extension.
 
     Level 0 is the one-element band, level 1 the standard order-4 model, and
     each later level extends the previous one at its first element with a
@@ -161,12 +162,7 @@ def tower(n: int) -> tuple[FiniteGroupoid, ...]:
     while len(_tower_cache) <= n:
         k = len(_tower_cache)
         _tower_cache.append(extend(_tower_cache[k - 1], 0, f"x{k - 1}"))
-    return tuple(_tower_cache[: n + 1])
-
-
-def tower_level(n: int) -> FiniteGroupoid:
-    """Just level n of the tower."""
-    return tower(n)[n]
+    return _tower_cache[n]
 
 
 def limit_product(i: int, j: int) -> int:
@@ -176,7 +172,7 @@ def limit_product(i: int, j: int) -> int:
     exceeds both indices gives the same answer.  It is evaluated without a
     table, as the extension word of the two indices' blocks, down to the
     order-4 model.  Indices of 1024 and up lie above level 5 and raise
-    ResourceLimitError, as the tower does.
+    ResourceLimitError, as tower_level does.
     """
     if i < 0 or j < 0:
         raise IndexError("indices must be nonnegative")

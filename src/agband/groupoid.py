@@ -72,11 +72,7 @@ class FiniteGroupoid:
 
     def opposite(self) -> "FiniteGroupoid":
         """Transpose of the table; same carrier, same labels."""
-        n = self.order
-        return FiniteGroupoid(
-            table=tuple(tuple(self.table[j][i] for j in range(n)) for i in range(n)),
-            labels=self.labels,
-        )
+        return FiniteGroupoid(table=tuple(zip(*self.table)), labels=self.labels)
 
     def generated_subgroupoid(self, seeds) -> set[int]:
         """Least subset containing ``seeds`` and closed under the product."""
@@ -101,32 +97,9 @@ class FiniteGroupoid:
 
     def is_cancellative(self) -> CancellativityReport:
         """Row and column injectivity, with the first failure as a witness."""
-        n = self.order
-        t = self.table
-        left = True
-        right = True
-        lw = rw = None
-        for x in range(n):
-            seen: dict[int, int] = {}
-            for a in range(n):
-                v = t[x][a]
-                if v in seen:
-                    left, lw = False, (x, seen[v], a)
-                    break
-                seen[v] = a
-            if not left:
-                break
-        for x in range(n):
-            seen = {}
-            for a in range(n):
-                v = t[a][x]
-                if v in seen:
-                    right, rw = False, (x, seen[v], a)
-                    break
-                seen[v] = a
-            if not right:
-                break
-        return CancellativityReport(left, right, lw, rw)
+        lw = _first_repeat(self.table)
+        rw = _first_repeat(zip(*self.table))
+        return CancellativityReport(lw is None, rw is None, lw, rw)
 
     def restrict(self, subset) -> "FiniteGroupoid":
         """Subgroupoid on ``subset``, re-indexed in ascending index order.
@@ -172,6 +145,18 @@ class FiniteGroupoid:
         )
 
 
+def _first_repeat(rows) -> tuple[int, int, int] | None:
+    """The first (x, a, b) with rows[x][a] == rows[x][b] and a < b, scanning
+    row-major; None when every row is injective."""
+    for x, row in enumerate(rows):
+        seen: dict[int, int] = {}
+        for b, v in enumerate(row):
+            if v in seen:
+                return x, seen[v], b
+            seen[v] = b
+    return None
+
+
 def to_doc(g: FiniteGroupoid) -> dict:
     """The Cayley JSON object as plain dicts and lists."""
     return {"order": g.order, "labels": list(g.labels), "table": [list(r) for r in g.table]}
@@ -211,9 +196,9 @@ def from_json(text: str) -> FiniteGroupoid:
     return g
 
 
-def render_text(g: FiniteGroupoid, corner: str = "*") -> str:
+def render_text(g: FiniteGroupoid) -> str:
     """Whitespace-aligned table with labelled rows and columns."""
-    cells = [[corner, *g.labels]]
+    cells = [["*", *g.labels]]
     for i in range(g.order):
         cells.append([g.labels[i], *(g.labels[v] for v in g.table[i])])
     widths = [max(len(row[c]) for row in cells) for c in range(g.order + 1)]

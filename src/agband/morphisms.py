@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .construct import tower_level
+from .construct import adjoined_generator_index, tower_level
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
 from .laws import require_aragb
@@ -262,11 +262,16 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
         return replace(phi, kind=MapKind.ISO)
     if kind != MapKind.ANTI_ISO:
         raise ValueError(f"expected an ANTI_ISO mapping, got {kind}")
-    require_aragb(src, "source")
+    try:
+        forth = canonical_iso(src)
+    except ValueError:
+        # refused: a source outside the variety is named by its law sweep
+        require_aragb(src, "source")
+        raise
     back = [0] * n
     for e, image in enumerate(canonical_iso(dst, phi.images).images):
         back[image] = e
-    f = verified([back[image] for image in canonical_iso(src).images], src, dst)
+    f = verified([back[image] for image in forth.images], src, dst)
     if f.kind != MapKind.ISO:
         raise SearchInvariantError(
             f"composed mapping re-verifies as {f.kind}, not ISO"
@@ -349,7 +354,7 @@ def _staged_iso(k: FiniteGroupoid, enumeration: tuple[int, ...],
 
     for m in range(1, level):
         y = next(e for e in enumeration if e not in phi)
-        x_idx = 3 * 4 ** m
+        x_idx = adjoined_generator_index(m + 1)
         y1y = tk[y1][y]
         new_phi = dict(phi)
         taken = set(phi.values())

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .construct import (
+    adjoined_generator_index,
     diff_tables,
     extend,
     gbar_derived,
@@ -229,7 +230,7 @@ def _corollary_3() -> str:
             len(span) == g.order,
             f"{len(seeds)} seeds span {len(span)} of {g.order} at level {n}",
         )
-        seeds = seeds + [3 * 4 ** n]
+        seeds = seeds + [adjoined_generator_index(n + 1)]
     g2 = tower_level(2)
     worst = max(
         len(g2.generated_subgroupoid({c, d}))

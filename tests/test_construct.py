@@ -12,7 +12,6 @@ from agband.construct import (
     j_subband,
     limit_product,
     standard_g,
-    tower,
     tower_level,
 )
 from agband import construct
@@ -92,15 +91,16 @@ def scalar_extension_table(base, a):
     return tuple(map(tuple, table))
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_extend_gathers_the_scalar_words(level):
     base = tower_level(level)
-    for a in range(base.order):
+    # every designated element up to order 64; element 0 (the tower's) at 256
+    for a in range(base.order if level < 4 else 1):
         assert extend(base, a).table == scalar_extension_table(base, a)
 
 
 def test_tower_levels_nest_as_prefixes():
-    g0, g1, g2 = tower(2)
+    g0, g1, g2 = map(tower_level, range(3))
     assert g0.order == 1 and g1.order == 4 and g2.order == 16
     assert g1.table == standard_g().table
     assert g2.restrict(range(4)).table == g1.table
@@ -116,7 +116,7 @@ def test_tower_level_rejects_negative_levels():
 
 def test_tower_refuses_levels_above_five_before_building():
     built = len(construct._tower_cache)
-    for call in (lambda: tower(6), lambda: tower_level(7),
+    for call in (lambda: tower_level(6), lambda: tower_level(7),
                  lambda: limit_product(1024, 0), lambda: j_subband(5)):
         with pytest.raises(ResourceLimitError, match="tower level"):
             call()

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agband.construct import gbar_table3, tower
+from agband.construct import gbar_table3, tower_level
 from agband.errors import ClosureError
 from agband.groupoid import (
     FiniteGroupoid,
@@ -134,7 +134,7 @@ def test_json_round_trip(table):
 
 
 @pytest.mark.parametrize("g", [
-    *tower(4),
+    *map(tower_level, range(5)),
     gbar_table3(),
     FiniteGroupoid(table=((0,),), labels=("\u00e9",)),
     FiniteGroupoid(table=Z3.table, labels=('"q"', "back\\slash", "\u2603\n\u2028")),

@@ -119,17 +119,34 @@ def test_anti_to_iso_rebuilds_an_isomorphism():
     assert count == 12
 
 
-@pytest.mark.parametrize("level", [2, 3])
-def test_anti_to_iso_past_order_four(level):
+def relabelled_opposite(level):
+    """Tower level `level`, a seeded relabelling of its opposite, and the
+    anti-isomorphism between them."""
     src = tower_level(level)
     perm = list(range(src.order))
     random.Random(level).shuffle(perm)
     dst = src.opposite().relabel(perm)
     phi = verified(perm, src, dst)
     assert phi.kind is MapKind.ANTI_ISO
+    return src, dst, phi
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_anti_to_iso_past_order_four(level):
+    src, dst, phi = relabelled_opposite(level)
     psi = anti_to_iso(phi, src, dst)
     assert psi.kind is MapKind.ISO
     assert classify_mapping(psi, src, dst) is MapKind.ISO
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_anti_to_iso_sweeps_no_laws_on_valid_input(level, monkeypatch):
+    def no_sweep(g, who):
+        raise AssertionError("the law sweep ran on valid input")
+
+    monkeypatch.setattr("agband.morphisms.require_aragb", no_sweep)
+    src, dst, phi = relabelled_opposite(level)
+    assert anti_to_iso(phi, src, dst).kind is MapKind.ISO
 
 
 def test_anti_to_iso_requires_the_right_variety():
