@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .construct import (
     diff_tables,
@@ -56,11 +57,13 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _emit_groupoid(g: FiniteGroupoid, fmt: str) -> None:
+def _print_mapping(mapping, src_names, dst_names, fmt: str) -> None:
     if fmt == "text":
-        print(render_text(g))
+        for name, image in zip(src_names, mapping.images):
+            print(f"{name} -> {dst_names[image]}")
+        print(f"kind: {mapping.kind.value}")
     else:
-        print(to_json(g))
+        _print_json({"images": mapping.images, "kind": mapping.kind.value})
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +79,7 @@ def _cmd_build(args) -> int:
         g = gbar_table3() if args.from_table3 else gbar_derived()
     else:
         g = j_subband(args.n)
-    _emit_groupoid(g, args.format)
+    print(render_text(g) if args.format == "text" else to_json(g))
     return 0
 
 
@@ -89,20 +92,6 @@ def _cmd_check(args) -> int:
     else:
         spec = get_variety(args.variety or "aragb")
     report = check_variety(g, spec)
-    doc = {
-        "variety": spec.name,
-        "order": g.order,
-        "holds": report.holds,
-        "identities": [
-            {
-                "identity": str(r.identity),
-                "holds": r.holds,
-                "counterexample": r.counterexample,
-                "assignments": r.assignments,
-            }
-            for r in report.reports
-        ],
-    }
     if args.format == "text":
         for r in report.reports:
             verdict = "holds" if r.holds else f"fails at {r.counterexample}"
@@ -110,7 +99,15 @@ def _cmd_check(args) -> int:
         print(f"{spec.name} on order {g.order}: "
               + ("holds" if report.holds else "fails"))
     else:
-        _print_json(doc)
+        _print_json({
+            "variety": spec.name,
+            "order": g.order,
+            "holds": report.holds,
+            "identities": [
+                {**asdict(r), "identity": str(r.identity)}
+                for r in report.reports
+            ],
+        })
     return 0 if report.holds else 1
 
 
@@ -122,14 +119,7 @@ def _cmd_iso(args) -> int:
         kind = "anti-isomorphism" if args.anti else "isomorphism"
         print(f"NOT_FOUND: no {kind} exists", file=sys.stderr)
         return 1
-    if args.format == "text":
-        for i, image in enumerate(mapping.images):
-            print(f"{src.labels[i]} -> {dst.labels[image]}")
-        print(f"kind: {mapping.kind.value}")
-    else:
-        _print_json(
-            {"images": list(mapping.images), "kind": mapping.kind.value}
-        )
+    _print_mapping(mapping, src.labels, dst.labels, args.format)
     return 0
 
 
@@ -137,7 +127,7 @@ def _cmd_classify_bijections(args) -> int:
     g = _read_groupoid(args.input)
     census = classify_all_bijections(g)
     rows = [
-        {"kind": kind.value, "cycle_type": list(ct), "count": count}
+        {"kind": kind.value, "cycle_type": ct, "count": count}
         for (kind, ct), count in sorted(
             census.by_cycle_type.items(),
             key=lambda item: (item[0][0].value, item[0][1]),
@@ -171,32 +161,17 @@ def _cmd_canonical_iso(args) -> int:
             int(part) for part in args.enumeration.split(",") if part != ""
         )
     mapping = canonical_iso(g, enumeration)
-    if args.format == "text":
-        for i, image in enumerate(mapping.images):
-            print(f"{g.labels[i]} -> {image}")
-        print(f"kind: {mapping.kind.value}")
-    else:
-        _print_json(
-            {"images": list(mapping.images), "kind": mapping.kind.value}
-        )
+    _print_mapping(mapping, g.labels, range(g.order), args.format)
     return 0
 
 
-def _partition_doc(p: Partition) -> list[list[int]]:
-    return [list(block) for block in p.blocks]
-
-
 def _cmd_decompose(args) -> int:
+    quotient = None
     if args.mode == "extension":
         dec = extension_block_decomposition(args.n)
-        doc = {
-            "blocks": _partition_doc(dec.partition),
-            "quotient": to_doc(dec.quotient),
-        }
+        partition, quotient = dec.partition, dec.quotient
     elif args.mode == "gcopies":
-        g = _read_groupoid(args.input)
-        partition = g_copy_partition(g)
-        doc = {"blocks": _partition_doc(partition)}
+        partition = g_copy_partition(_read_groupoid(args.input))
     else:
         g = _read_groupoid(args.input)
         blocks = json.loads(args.partition)
@@ -213,18 +188,16 @@ def _cmd_decompose(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        doc = {
-            "blocks": _partition_doc(outcome.partition),
-            "quotient": to_doc(outcome.quotient),
-        }
+        partition, quotient = outcome.partition, outcome.quotient
     if args.format == "text":
-        for i, block in enumerate(doc["blocks"]):
-            print(f"B{i}: {block}")
-        if "quotient" in doc:
-            print(render_text(FiniteGroupoid(
-                doc["quotient"]["table"], doc["quotient"]["labels"]
-            )))
+        for i, block in enumerate(partition.blocks):
+            print(f"B{i}: {list(block)}")
+        if quotient is not None:
+            print(render_text(quotient))
     else:
+        doc = {"blocks": partition.blocks}
+        if quotient is not None:
+            doc["quotient"] = to_doc(quotient)
         _print_json(doc)
     return 0
 
@@ -269,11 +242,7 @@ def _cmd_models(args) -> int:
         "order": out.order,
         "variety": out.variety,
         "count": out.count,
-        "stats": {
-            "nodes": out.stats.nodes,
-            "propagation_failures": out.stats.propagation_failures,
-            "seconds": out.stats.seconds,
-        },
+        "stats": asdict(out.stats),
     }
     if args.emit:
         os.makedirs(args.emit, exist_ok=True)
@@ -348,20 +317,10 @@ def _cmd_verify_paper(args) -> int:
             print(f"{r.status:<7} {r.claim:<15} [{r.reference}] {r.detail}")
         print(f"overall: {report.overall}")
     else:
-        _print_json(
-            {
-                "overall": report.overall,
-                "results": [
-                    {
-                        "claim": r.claim,
-                        "reference": r.reference,
-                        "status": r.status,
-                        "detail": r.detail,
-                    }
-                    for r in report.results
-                ],
-            }
-        )
+        _print_json({
+            "overall": report.overall,
+            "results": [asdict(r) for r in report.results],
+        })
     return 0 if report.overall == "PASS" else 1
 
 
@@ -396,21 +355,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="emit a built-in table")
     p.add_argument("--format", action=_FormatBeforeMode, help=argparse.SUPPRESS)
+    p.set_defaults(func=_cmd_build)
     bsub = p.add_subparsers(dest="what", required=True)
-    b = bsub.add_parser("g", parents=[fmt], help="the order-4 model")
-    b.set_defaults(func=_cmd_build)
+    bsub.add_parser("g", parents=[fmt], help="the order-4 model")
     b = bsub.add_parser("gn", parents=[fmt], help="tower level n (order 4^n)")
     b.add_argument("--n", type=int, required=True)
-    b.set_defaults(func=_cmd_build)
     b = bsub.add_parser("gbar", parents=[fmt], help="the order-16 counterexample")
     b.add_argument(
         "--from-table3", action="store_true", dest="from_table3",
         help="use the transcribed fixture instead of the derived table",
     )
-    b.set_defaults(func=_cmd_build)
     b = bsub.add_parser("j", parents=[fmt], help="the inner self-copy J_n")
     b.add_argument("--n", type=int, required=True)
-    b.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("check", parents=[fmt], help="check identities on a table")
     p.add_argument("input", nargs="?", default="-", help="Cayley JSON file or -")
@@ -449,17 +405,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="band decompositions")
     p.add_argument("--format", action=_FormatBeforeMode, help=argparse.SUPPRESS)
+    p.set_defaults(func=_cmd_decompose)
     dsub = p.add_subparsers(dest="mode", required=True)
     d = dsub.add_parser("blocks", parents=[fmt], help="check a partition")
     d.add_argument("input")
     d.add_argument("--partition", required=True, help="JSON list of blocks")
-    d.set_defaults(func=_cmd_decompose)
     d = dsub.add_parser("gcopies", parents=[fmt], help="split into order-4 copies")
     d.add_argument("input")
-    d.set_defaults(func=_cmd_decompose)
     d = dsub.add_parser("extension", parents=[fmt], help="quarters of level n")
     d.add_argument("--n", type=int, required=True)
-    d.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("spectrum", parents=[fmt], help="model counts by order")
     p.add_argument("--variety", default="aragb")
@@ -515,10 +469,7 @@ def run(argv=None) -> int:
     except (VarietyError, ClosureError, SearchInvariantError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, LookupError, OSError) as e:
+    except (ResourceLimitError, ValueError, LookupError, OSError) as e:
         # ParseError and JSON decoding errors are ValueErrors; unknown
         # presets and out-of-range indices are LookupErrors
         print(f"error: {e}", file=sys.stderr)

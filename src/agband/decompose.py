@@ -55,10 +55,6 @@ class Partition:
         }
 
 
-def singleton_partition(n: int) -> Partition:
-    return Partition(tuple((i,) for i in range(n)))
-
-
 @dataclass(frozen=True)
 class DecompositionWitness:
     """Two products out of the same block pair that land in different
@@ -111,35 +107,29 @@ def check_band_decomposition(g: FiniteGroupoid, p: Partition):
 def extension_block_decomposition(n: int) -> BandDecomposition:
     """The four-block decomposition of tower level n.
 
-    For n >= 2 the blocks are the extension's quarters; each is checked
-    equal to level n-1 and the quotient isomorphic to level 1.  For
-    n = 1 the blocks are singletons and the quotient is the level itself.
+    The blocks are the extension's quarters; each is checked equal to
+    level n-1 and the quotient isomorphic to level 1.  For n = 1 the
+    quarters are singletons, each equal to the order-1 level 0.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     g = tower_level(n)
-    if n == 1:
-        partition = singleton_partition(4)
-    else:
-        quarter = 4 ** (n - 1)
-        partition = Partition(
-            tuple(
-                tuple(range(b * quarter, (b + 1) * quarter)) for b in range(4)
-            )
-        )
+    quarter = 4 ** (n - 1)
+    partition = Partition(
+        tuple(tuple(range(b * quarter, (b + 1) * quarter)) for b in range(4))
+    )
     outcome = check_band_decomposition(g, partition)
     if isinstance(outcome, DecompositionWitness):
         raise SearchInvariantError(
             f"extension blocks failed to decompose level {n}: {outcome}"
         )
-    if n >= 2:
-        previous = tower_level(n - 1).table
-        for block in outcome.partition.blocks:
-            if g.restrict(block).table != previous:
-                raise SearchInvariantError(
-                    f"block starting at {block[0]} is not equal to the "
-                    "previous level"
-                )
+    previous = tower_level(n - 1).table
+    for block in outcome.partition.blocks:
+        if g.restrict(block).table != previous:
+            raise SearchInvariantError(
+                f"block starting at {block[0]} is not equal to the previous "
+                "level"
+            )
     if iso_search(outcome.quotient, standard_g()) is None:
         raise SearchInvariantError("quotient is not isomorphic to the "
                                    "order-4 model")

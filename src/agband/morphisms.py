@@ -263,8 +263,8 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
     if kind != MapKind.ANTI_ISO:
         raise ValueError(f"expected an ANTI_ISO mapping, got {kind}")
     try:
-        forth = canonical_iso(src)
-    except ValueError:
+        forth = _staged_iso(src)
+    except (ValueError, SearchInvariantError):
         # refused: a source outside the variety is named by its law sweep
         require_aragb(src, "source")
         raise
@@ -321,6 +321,16 @@ def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     swept, and a violated law raises VarietyError ahead of the invariant
     error.
     """
+    try:
+        return _staged_iso(k, enumeration)
+    except SearchInvariantError:
+        require_aragb(k, "input")
+        raise
+
+
+def _staged_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
+    """``canonical_iso`` without the law sweep: ValueError for an order or
+    enumeration it cannot take, SearchInvariantError when a stage fails."""
     n = k.order
     level = 0
     while 4 ** level < n:
@@ -332,16 +342,6 @@ def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     enumeration = tuple(enumeration)
     if sorted(enumeration) != list(range(n)):
         raise ValueError("enumeration must be a permutation of the indices")
-    try:
-        return _staged_iso(k, enumeration, level)
-    except SearchInvariantError:
-        require_aragb(k, "input")
-        raise
-
-
-def _staged_iso(k: FiniteGroupoid, enumeration: tuple[int, ...],
-                level: int) -> Mapping:
-    n = k.order
     target = tower_level(level)
     tt = target.table
     tk = k.table

@@ -188,11 +188,9 @@ def enumerate_models(
     failures = 0
     models: list[FiniteGroupoid] = []
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    row0_holes = n
     row0_memo: dict[tuple[int, ...], bool] = {}
 
     def assign(i: int, j: int, val: int) -> bool:
-        nonlocal row0_holes
         queue = [(i, j, val)]
         while queue:
             a, b, x = queue.pop()
@@ -211,12 +209,9 @@ def enumerate_models(
             table[a][b] = x
             trail.append((a, b))
             by_value[x].append((a, b))
-            if a == 0:
-                row0_holes -= 1
         return True
 
     def undo(mark: int) -> None:
-        nonlocal row0_holes
         while len(trail) > mark:
             a, b = trail.pop()
             x = table[a][b]
@@ -226,8 +221,6 @@ def enumerate_models(
                 bit = ~(1 << x)
                 row_mask[a] &= bit
                 col_mask[b] &= bit
-            if a == 0:
-                row0_holes += 1
 
     def consistent(mark: int) -> bool:
         # the state before ``mark`` was consistent, so a failing instance
@@ -236,7 +229,7 @@ def enumerate_models(
             for scan in scanners:
                 if scan(table, n, by_value, a, b) is not None:
                     return False
-        if row0_holes == 0 and not witness_mode:
+        if not witness_mode and None not in table[0]:
             key = tuple(table[0])
             ok = row0_memo.get(key)
             if ok is None:

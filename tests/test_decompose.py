@@ -13,7 +13,6 @@ from agband.decompose import (
     copy_intersection_audit,
     extension_block_decomposition,
     g_copy_partition,
-    singleton_partition,
 )
 from agband.errors import ResourceLimitError, SearchInvariantError, VarietyError
 from agband.groupoid import FiniteGroupoid
@@ -93,11 +92,6 @@ def test_partition_elements_must_be_integers(bad):
         Partition(blocks=((0, bad), (2, 3)))
 
 
-def test_singleton_partition_shape():
-    p = singleton_partition(3)
-    assert p.blocks == ((0,), (1,), (2,))
-
-
 def test_band_decomposition_of_a_semilattice_of_blocks():
     gbar = gbar_derived()
     quarters = Partition(blocks=tuple(tuple(range(4 * b, 4 * b + 4)) for b in range(4)))
@@ -128,7 +122,7 @@ def test_quotient_of_an_ag_model_stays_in_the_variety():
 
 def test_extension_block_decomposition_levels():
     one = extension_block_decomposition(1)
-    assert one.partition == singleton_partition(4)
+    assert one.partition.blocks == ((0,), (1,), (2,), (3,))
     assert one.quotient.table == G.table
     two = extension_block_decomposition(2)
     assert len(two.partition.blocks) == 4

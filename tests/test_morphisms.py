@@ -160,6 +160,24 @@ def test_anti_to_iso_requires_the_right_variety():
     assert not err.value.report.holds
 
 
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_anti_to_iso_sweeps_a_refused_source_once(level, monkeypatch):
+    sweeps = []
+
+    def counted(g, who):
+        sweeps.append(who)
+        require_aragb(g, who)
+
+    monkeypatch.setattr("agband.morphisms.require_aragb", counted)
+    table = [list(row) for row in tower_level(level).table]
+    table[1][5] = (table[1][5] + 1) % len(table)
+    src = FiniteGroupoid(table)
+    phi = verified(range(src.order), src, src.opposite())
+    with pytest.raises(VarietyError, match=r"^source violates '"):
+        anti_to_iso(phi, src, src.opposite())
+    assert sweeps == ["source"]
+
+
 def test_anti_to_iso_rejects_a_non_anti_isomorphism():
     phi = verified((0, 1, 2, 3), G, G)  # this one is an isomorphism
     with pytest.raises((ValueError, SearchInvariantError)):
