@@ -168,10 +168,8 @@ class IntersectionAudit:
     intersection size 4.
     """
 
-    generator_pairs: int
     distinct_copies: int
     nonstandard_pairs: int  # pairs whose span is not a 4-element G copy
-    pair_count: int
     distribution: dict[int, int]  # intersection size -> number of pairs
 
     @property
@@ -198,11 +196,9 @@ def copy_intersection_audit(g: FiniteGroupoid) -> IntersectionAudit:
     require_aragb(g, "input")
     reference = standard_g()
     multiplicity: dict[frozenset[int], int] = {}
-    generator_pairs = 0
     nonstandard = 0
     for c in range(g.order):
         for d in range(c + 1, g.order):
-            generator_pairs += 1
             copy = frozenset(g.generated_subgroupoid({c, d}))
             if len(copy) != 4 or (
                 copy not in multiplicity
@@ -213,18 +209,12 @@ def copy_intersection_audit(g: FiniteGroupoid) -> IntersectionAudit:
             multiplicity[copy] = multiplicity.get(copy, 0) + 1
     ordered = sorted(multiplicity, key=sorted)
     distribution: dict[int, int] = {}
-    pairs = 0
     for i, a in enumerate(ordered):
         m = multiplicity[a]
         same = m * (m - 1) // 2
         if same:
             distribution[4] = distribution.get(4, 0) + same
-            pairs += same
         for b in ordered[i + 1:]:
             size = len(a & b)
-            weight = m * multiplicity[b]
-            distribution[size] = distribution.get(size, 0) + weight
-            pairs += weight
-    return IntersectionAudit(
-        generator_pairs, len(ordered), nonstandard, pairs, distribution
-    )
+            distribution[size] = distribution.get(size, 0) + m * multiplicity[b]
+    return IntersectionAudit(len(ordered), nonstandard, distribution)

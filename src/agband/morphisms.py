@@ -1,15 +1,15 @@
 """Structure-preserving bijections between finite groupoids.
 
-A Mapping is a plain images array tagged with what it has been verified to
-be.  Verification is always a full sweep over all order-squared pairs; no
-operation here returns a mapping whose tag it has not just checked.
+A Mapping is an images array and the kind a full sweep over all
+order-squared pairs classified it as.  Every Mapping this module returns
+has just been through that sweep, ``classify_mapping``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .construct import adjoined_generator_index, tower_level
@@ -22,33 +22,12 @@ class MapKind(str, Enum):
     ISO = "ISO"
     ANTI_ISO = "ANTI_ISO"
     NEITHER = "NEITHER"
-    UNVERIFIED = "UNVERIFIED"
 
 
 @dataclass(frozen=True)
 class Mapping:
-    source_order: int
-    target_order: int
     images: tuple[int, ...]
-    kind: MapKind = MapKind.UNVERIFIED
-
-    def __post_init__(self):
-        images = tuple(self.images)
-        if len(images) != self.source_order:
-            raise ValueError(
-                f"expected {self.source_order} images, got {len(images)}"
-            )
-        for v in images:
-            if not 0 <= v < self.target_order:
-                raise ValueError(f"image {v} out of range")
-        object.__setattr__(self, "images", images)
-
-    @property
-    def bijective(self) -> bool:
-        return (
-            self.source_order == self.target_order
-            and len(set(self.images)) == self.source_order
-        )
+    kind: MapKind
 
 
 def _is_hom(images, s_table, d_table, n) -> bool:
@@ -63,25 +42,25 @@ def _is_hom(images, s_table, d_table, n) -> bool:
     return True
 
 
-def classify_mapping(f: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> MapKind:
-    """Full-sweep classification.  Homomorphic bijections report ISO even
-    when they are also anti-homomorphic (the commutative case)."""
-    if f.source_order != src.order or f.target_order != dst.order:
-        raise ValueError("mapping does not fit the given groupoids")
-    if not f.bijective:
-        raise ValueError("mapping is not a bijection between equal orders")
+def classify_mapping(images, src: FiniteGroupoid, dst: FiniteGroupoid) -> MapKind:
+    """Full-sweep classification of images as a map src -> dst.  Raises
+    ValueError unless images is a bijection between equal orders.
+    Homomorphic bijections report ISO even when they are also
+    anti-homomorphic (the commutative case)."""
     n = src.order
-    if _is_hom(f.images, src.table, dst.table, n):
+    if dst.order != n or sorted(images) != list(range(n)):
+        raise ValueError("mapping is not a bijection between equal orders")
+    if _is_hom(images, src.table, dst.table, n):
         return MapKind.ISO
-    if _is_hom(f.images, src.table, tuple(zip(*dst.table)), n):
+    if _is_hom(images, src.table, tuple(zip(*dst.table)), n):
         return MapKind.ANTI_ISO
     return MapKind.NEITHER
 
 
 def verified(images, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mapping:
-    """Build a Mapping from raw images and stamp it with its classified kind."""
-    f = Mapping(src.order, dst.order, tuple(images))
-    return replace(f, kind=classify_mapping(f, src, dst))
+    """Build a Mapping from raw images, stamped with its classified kind."""
+    images = tuple(images)
+    return Mapping(images, classify_mapping(images, src, dst))
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +232,13 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
     order 4 this keeps the images of the generators c = 0 and d = 1 and
     swaps the images of cd and dc.
     """
-    kind = classify_mapping(phi, src, dst)
+    kind = classify_mapping(phi.images, src, dst)
     n = src.order
     if kind == MapKind.ISO and _is_hom(
         phi.images, src.table, tuple(zip(*dst.table)), n
     ):
         # commutative case: the given mapping already is an isomorphism
-        return replace(phi, kind=MapKind.ISO)
+        return Mapping(phi.images, MapKind.ISO)
     if kind != MapKind.ANTI_ISO:
         raise ValueError(f"expected an ANTI_ISO mapping, got {kind}")
     try:
@@ -330,7 +309,8 @@ def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
 
 def _staged_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     """``canonical_iso`` without the law sweep: ValueError for an order or
-    enumeration it cannot take, SearchInvariantError when a stage fails."""
+    enumeration it cannot take, SearchInvariantError when the construction
+    fails."""
     n = k.order
     level = 0
     while 4 ** level < n:
@@ -346,50 +326,28 @@ def _staged_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     tt = target.table
     tk = k.table
 
+    # Each stage extends phi over a snapshot of the previous one, first
+    # writer wins: on input outside the variety, the check after the stages
+    # or the re-verification against the tower level refuses the result.
     y1, y2 = enumeration[0], enumeration[1]
     phi = {y1: 0, y2: 1, tk[y1][y2]: 2, tk[y2][y1]: 3}
-    if len(phi) != 4:
-        raise SearchInvariantError("the first two elements generate fewer "
-                                   "than four elements")
-
     for m in range(1, level):
         y = next(e for e in enumeration if e not in phi)
         x_idx = adjoined_generator_index(m + 1)
         y1y = tk[y1][y]
-        new_phi = dict(phi)
-        taken = set(phi.values())
-        for c in list(phi):
-            pc = phi[c]
-            for source, image in (
-                (tk[y][c], tt[x_idx][pc]),
-                (tk[c][y], tt[pc][x_idx]),
-                (tk[y1y][c], tt[tt[phi[y1]][x_idx]][pc]),
-            ):
-                prior = new_phi.get(source)
-                if prior is None:
-                    if image in taken:
-                        raise SearchInvariantError(
-                            "two elements were sent to the same image while "
-                            f"extending past order {4 ** m}"
-                        )
-                    new_phi[source] = image
-                    taken.add(image)
-                elif prior != image:
-                    raise SearchInvariantError(
-                        f"conflicting images for element {source} while "
-                        f"extending past order {4 ** m}"
-                    )
-        if len(new_phi) != 4 ** (m + 1):
-            raise SearchInvariantError(
-                f"extension step covered {len(new_phi)} elements, expected "
-                f"{4 ** (m + 1)}"
-            )
-        phi = new_phi
+        y1x = tt[phi[y1]][x_idx]
+        for c, pc in list(phi.items()):
+            phi.setdefault(tk[y][c], tt[x_idx][pc])
+            phi.setdefault(tk[c][y], tt[pc][x_idx])
+            phi.setdefault(tk[y1y][c], tt[y1x][pc])
+    distinct = len(set(phi.values()))
+    if len(phi) != n or distinct != n:
+        raise SearchInvariantError(
+            f"the stages mapped {len(phi)} of {n} elements onto {distinct} "
+            "distinct images"
+        )
 
-    images = [-1] * n
-    for source, image in phi.items():
-        images[source] = image
-    f = verified(images, k, target)
+    f = verified([phi[e] for e in range(n)], k, target)
     if f.kind != MapKind.ISO:
         raise SearchInvariantError(
             f"constructed mapping re-verifies as {f.kind}, not ISO"

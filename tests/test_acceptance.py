@@ -146,7 +146,7 @@ def test_criterion_06_staged_isomorphism_on_shuffles():
                 h = _shuffled(target, rng)
                 phi = canonical_iso(h)
                 assert phi.kind is MapKind.ISO
-                assert classify_mapping(phi, h, target) is MapKind.ISO
+                assert classify_mapping(phi.images, h, target) is MapKind.ISO
 
 
 def test_criterion_07_proper_self_copy():

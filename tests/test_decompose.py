@@ -229,9 +229,11 @@ def test_intersection_audit_sees_all_three_sizes():
     audit = copy_intersection_audit(tower_level(2))
     assert audit.ok
     assert set(audit.distribution) == {0, 1, 4}
-    # 120 unordered generator pairs, six per copy
-    assert audit.generator_pairs == 120
     assert audit.distinct_copies == 20
+    # 120 unordered generator pairs, six per copy: 15 pairs of them share
+    # each copy, and 120 * 119 / 2 pairs of them in all
+    assert audit.distribution[4] == 20 * 15
+    assert sum(audit.distribution.values()) == 120 * 119 // 2
 
 
 def test_intersection_audit_order_limit():
