@@ -420,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, required=True, dest="max_order")
     p.add_argument(
         "--oracle", action="store_true",
-        help="cross-check counts against the naive oracle where it applies",
+        help="cross-check counts against the oracle where it applies",
     )
     p.set_defaults(func=_cmd_spectrum)
 

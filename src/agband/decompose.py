@@ -35,6 +35,8 @@ class Partition:
         seen: dict[int, int] = {}
         for ordinal, block in enumerate(blocks):
             for e in block:
+                if seen.get(e) == ordinal:
+                    raise ValueError(f"element {e} appears twice in one block")
                 if e in seen:
                     raise ValueError(f"element {e} appears in two blocks")
                 seen[e] = ordinal

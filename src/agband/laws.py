@@ -183,12 +183,15 @@ def parse_identity(text: str) -> Identity:
 # evaluation and checking
 
 
-def eval_term(term: Term, table, env: dict[str, int]) -> int:
+def eval_term(term: Term, table, env: dict[str, int]) -> int | None:
     """Straightforward recursive evaluation; the reference the kernel is
-    tested against."""
+    tested against.  On a partial table, whose undecided cells are None,
+    the value is None once a product reads an undecided cell."""
     if isinstance(term, Var):
         return env[term.name]
-    return table[eval_term(term.left, table, env)][eval_term(term.right, table, env)]
+    left = eval_term(term.left, table, env)
+    right = None if left is None else eval_term(term.right, table, env)
+    return None if right is None else table[left][right]
 
 
 @dataclass(frozen=True)

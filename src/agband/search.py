@@ -31,6 +31,7 @@ from .laws import (
     _compile_kernel,
     alpha_key,
     check_variety,
+    eval_term,
     parse_identity,
     variables,
 )
@@ -326,93 +327,55 @@ def spectrum_scan(
 # ---------------------------------------------------------------------------
 # independent oracle
 #
-# Used by tests to validate enumerate_models.  Deliberately shares nothing
-# with the search above: straight enumeration, the recursive term evaluator
-# instead of generated scanners, no forcing, no all-different, no symmetry
-# breaking.
-
-_ORACLE_NAIVE_LIMIT = 3
-
-
-def _eval_partial(term, env: dict[str, int], table):
-    if isinstance(term, Var):
-        return env[term.name]
-    left = _eval_partial(term.left, env, table)
-    if left is None:
-        return None
-    right = _eval_partial(term.right, env, table)
-    if right is None:
-        return None
-    return table[left][right]
+# Used by tests to validate enumerate_models.  Shares only canonical_table
+# with the search above and nothing with the law kernels: no forcing, no
+# all-different, no symmetry breaking, and ``laws.eval_term`` as its judge.
 
 
 def brute_force_oracle(order: int, v: VarietySpec) -> int:
-    """Isomorphism-class count by direct enumeration of whole tables.
+    """Isomorphism-class count by one row-major walk over partial tables.
 
-    Orders 1..3 sweep all order**(order**2) tables.  Order 4 is allowed
-    only for varieties containing idempotency, which pins the diagonal and
-    leaves the 4**12 off-diagonal assignments, walked with early rejection
-    of instances that are already fully decided and failing.
+    The walk backs out as soon as a fully decided instance of a law fails,
+    so each full table it reaches is a model.  Orders 1..3 are walked for
+    any variety; order 4 only for one containing idempotency, which pins the
+    diagonal and leaves the 4**12 off-diagonal assignments.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    keys = [alpha_key(i) for i in v.identities]
-    classes: set[tuple[tuple[int, ...], ...]] = set()
-    if order <= _ORACLE_NAIVE_LIMIT:
-        n = order
-        for flat in itertools.product(range(n), repeat=n * n):
-            tab = tuple(flat[r * n:(r + 1) * n] for r in range(n))
-            if check_variety(FiniteGroupoid(tab), v).holds:
-                classes.add(canonical_table(tab))
-        return len(classes)
-    if order == 4 and any(k in _IDEMPOTENT_KEYS for k in keys):
-        return _oracle_diagonal_fixed(v, classes)
-    raise ResourceLimitError(
-        f"oracle enumeration at order {order} needs "
-        f"{order ** (order * order)} tables; only orders 1..3 are naive, "
-        "and 4 requires an idempotent variety"
-    )
-
-
-def _oracle_diagonal_fixed(v: VarietySpec, classes: set) -> int:
-    n = 4
+    n = order
+    has_idem = any(alpha_key(i) in _IDEMPOTENT_KEYS for i in v.identities)
+    if n > 4 or (n == 4 and not has_idem):
+        raise ResourceLimitError(
+            "the oracle walks orders 1..3, and order 4 only for an "
+            f"idempotent variety; order {n} of '{v.name}' is out of reach"
+        )
     instances = [
-        (ident, [
-            dict(zip(variables(ident), vals))
-            for vals in itertools.product(range(n), repeat=len(variables(ident)))
-        ])
+        (ident, dict(zip(names, vals)))
         for ident in v.identities
+        for names in (variables(ident),)
+        for vals in itertools.product(range(n), repeat=len(names))
     ]
     table: list[list[int | None]] = [
-        [i if i == j else None for j in range(n)] for i in range(n)
+        [i if has_idem and i == j else None for j in range(n)]
+        for i in range(n)
     ]
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-
-    def decided_instances_hold() -> bool:
-        for ident, envs in instances:
-            for env in envs:
-                left = _eval_partial(ident.lhs, env, table)
-                if left is None:
-                    continue
-                right = _eval_partial(ident.rhs, env, table)
-                if right is None:
-                    continue
-                if left != right:
-                    return False
-        return True
+    cells = [(i, j) for i in range(n) for j in range(n) if table[i][j] is None]
+    classes: set[tuple[tuple[int, ...], ...]] = set()
 
     def walk(k: int) -> None:
+        for ident, env in instances:
+            left = eval_term(ident.lhs, table, env)
+            right = eval_term(ident.rhs, table, env)
+            if left is not None and right is not None and left != right:
+                return
         if k == len(cells):
-            tab = tuple(tuple(row) for row in table)
-            if check_variety(FiniteGroupoid(tab), v).holds:
-                classes.add(canonical_table(tab))
+            classes.add(canonical_table(tuple(tuple(row) for row in table)))
             return
         i, j = cells[k]
         for val in range(n):
             table[i][j] = val
-            if decided_instances_hold():
-                walk(k + 1)
-            table[i][j] = None
+            walk(k + 1)
+        table[i][j] = None
 
     walk(0)
     return len(classes)

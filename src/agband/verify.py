@@ -337,8 +337,10 @@ def _lemma_12() -> str:
     cancel = gbar.is_cancellative()
     _need(cancel.both, f"cancellativity report: {cancel}")
     partition = Partition(tuple(tuple(range(b, b + 4)) for b in (0, 4, 8, 12)))
-    sizes = {len(block) for block in partition.blocks}
-    _need(sizes == {4}, f"component sizes {sizes}")
+    dec = check_band_decomposition(gbar, partition)
+    _need(isinstance(dec, BandDecomposition), f"blocks smear: {dec}")
+    sizes = {len(block) for block in dec.partition.blocks}
+    _need(len(sizes) == 1, f"component sizes {sizes}")
     t = gbar.table
     holds = 0
     for a in range(16):

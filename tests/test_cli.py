@@ -229,6 +229,7 @@ QUARTERS = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
     [
         5,
         QUARTERS[:3] + [[12, 13, 14, "x"]],
+        QUARTERS[:3] + [[12, 13, 14, 15, 15]],
         [[0, 1.0, 2, 3]] + QUARTERS[1:],
         [[0, True, 2, 3]] + QUARTERS[1:],
         [0, 1, 2, 3],

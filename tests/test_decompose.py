@@ -77,8 +77,10 @@ def test_partition_validates_cover_and_disjointness():
     p = Partition(blocks=((0, 1), (2, 3)))
     assert p.order == 4
     assert p.block_of()[3] == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="element 1 appears in two blocks"):
         Partition(blocks=((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="element 3 appears twice in one block"):
+        Partition(blocks=((0, 1), (2, 3, 3)))
     with pytest.raises(ValueError):
         Partition(blocks=((0, 1), (3,)))
     with pytest.raises(ValueError):
@@ -90,6 +92,25 @@ def test_partition_elements_must_be_integers(bad):
     # 1.0 and True compare equal to 1 and used to pass as element 1
     with pytest.raises(ValueError, match="integers"):
         Partition(blocks=((0, bad), (2, 3)))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_the_copies_through_an_element_split_the_rest_into_triples(level):
+    # every <e, k> is a 4-element copy {e, k, ek, ke}, and these copies meet
+    # only in e, so their triples partition the other n - 1 elements
+    g = tower_level(level)
+    t = g.table
+    for e in range(g.order):
+        triples = set()
+        for k in range(g.order):
+            if k != e:
+                triple = frozenset((k, t[e][k], t[k][e]))
+                assert e not in triple and len(triple) == 3
+                assert g.generated_subgroupoid((e, k)) == triple | {e}
+                triples.add(triple)
+        others = set(range(g.order)) - {e}
+        assert set().union(*triples) == others
+        assert sum(map(len, triples)) == len(others)
 
 
 def test_band_decomposition_of_a_semilattice_of_blocks():

@@ -14,10 +14,12 @@ from agband.laws import (
     VarietySpec,
     _compile_kernel,
     check_variety,
+    eval_term,
     get_variety,
     parse_identity,
     variables,
 )
+from agband import search
 from agband.morphisms import iso_search
 from agband.search import (
     SearchOutcome,
@@ -50,7 +52,8 @@ def _partial_tables():
 
 
 def _reading(term, env, table, cells):
-    """Evaluate like _eval_partial, adding each cell read to ``cells``."""
+    """Evaluate on a partial table, None once a product reads an undecided
+    cell, adding each cell read to ``cells``."""
     if isinstance(term, Var):
         return env[term.name]
     left = _reading(term.left, env, table, cells)
@@ -91,6 +94,16 @@ def test_delta_scanner_finds_exactly_the_failures_reading_a_cell(
     got = _compile_kernel(ident, partial=True)(table, n, by_value, i, j)
     assert (got is None) == (not failing)
     assert got is None or got in failing
+
+
+@given(_terms(), _partial_tables(), st.data())
+@settings(max_examples=300)
+def test_eval_term_on_partial_tables_matches_the_reading_evaluator(
+    term, table, data
+):
+    n = len(table)
+    env = {name: data.draw(st.integers(0, n - 1)) for name in "xyijnt"}
+    assert eval_term(term, table, env) == _reading(term, env, table, set())
 
 
 def test_delta_scanner_on_a_table_with_a_hole():
@@ -204,7 +217,7 @@ def test_spectrum_scan_for_the_collapsing_law():
 
 def test_enumeration_agrees_with_the_oracle_at_tiny_orders():
     for order in (1, 2, 3):
-        for name in ("aragb", "band", "ag", "evans"):
+        for name in ("aragb", "band", "ag", "evans", "medial"):
             v = get_variety(name)
             assert enumerate_models(order, v).count == brute_force_oracle(order, v)
 
@@ -213,6 +226,16 @@ def test_oracle_order_four_idempotent_case():
     assert brute_force_oracle(4, ARAGB) == enumerate_models(4, ARAGB).count == 1
     band = get_variety("band")
     assert brute_force_oracle(4, band) == enumerate_models(4, band).count == 6
+
+
+def test_oracle_needs_neither_the_law_kernels_nor_finite_groupoid(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle left eval_term for the kernels")
+
+    monkeypatch.setattr(search, "check_variety", forbidden)
+    monkeypatch.setattr(search, "FiniteGroupoid", forbidden)
+    assert brute_force_oracle(3, get_variety("band")) == 2
+    assert brute_force_oracle(4, ARAGB) == 1
 
 
 def test_oracle_refuses_what_it_cannot_sweep():
