@@ -11,9 +11,11 @@ already checked or is still undecided.  Symmetry is broken by a first-row
 lex constraint during search plus exact canonicalization over all
 relabelings at the leaves for orders up to 8.
 
-Orders 9..16 run in witness mode only: a limit is required, found tables
-are re-verified but not canonicalized, so duplicates up to isomorphism may
-appear among the witnesses.
+The walk only yields the completed tables.  One loop after it re-checks
+each against the variety, canonicalizes it, drops repeats and stops at the
+limit.  Orders 9..16 run in witness mode only: a limit is required, found
+tables are re-verified but not canonicalized, so duplicates up to
+isomorphism may appear among the witnesses.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class SearchOutcome:
     canonical_models: tuple[FiniteGroupoid, ...]
     count: int
     stats: SearchStats
-
-
-class _StopSearch(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +133,6 @@ def _row0_minimal(row0: tuple[int, ...], n: int) -> bool:
     return True
 
 
-def _full_limit(has_forcing: bool) -> int:
-    return _FORCED_FULL_LIMIT if has_forcing else _PLAIN_FULL_LIMIT
-
-
 # ---------------------------------------------------------------------------
 # the search itself
 
@@ -165,11 +159,12 @@ def enumerate_models(
     keys = [alpha_key(i) for i in v.identities]
     has_idem = any(k in _IDEMPOTENT_KEYS for k in keys)
     has_forcing = any(k in _FORCING_KEYS for k in keys)
-    witness_mode = order > _full_limit(has_forcing)
+    full_limit = _FORCED_FULL_LIMIT if has_forcing else _PLAIN_FULL_LIMIT
+    witness_mode = order > full_limit
     if witness_mode and limit is None:
         raise ResourceLimitError(
             f"full enumeration of '{v.name}' at order {order} exceeds the "
-            f"desk-scale envelope ({_full_limit(has_forcing)}); pass limit= "
+            f"desk-scale envelope ({full_limit}); pass limit= "
             f"to search for witnesses instead"
         )
     scanners = [
@@ -187,8 +182,7 @@ def enumerate_models(
     by_value: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     nodes = 0
     failures = 0
-    models: list[FiniteGroupoid] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    models: dict[tuple[tuple[int, ...], ...], FiniteGroupoid] = {}
     row0_memo: dict[tuple[int, ...], bool] = {}
 
     def assign(i: int, j: int, val: int) -> bool:
@@ -239,78 +233,59 @@ def enumerate_models(
                 return False
         return True
 
-    def leaf() -> None:
-        tab = tuple(tuple(row) for row in table)
-        g = FiniteGroupoid(tab)
-        report = check_variety(g, v)
+    def completions(pos: int):
+        nonlocal nodes, failures
+        while pos < n * n and table[pos // n][pos % n] is not None:
+            pos += 1
+        if pos == n * n:
+            yield tuple(tuple(row) for row in table)
+            return
+        i, j = divmod(pos, n)
+        used = row_mask[i] | col_mask[j]  # both 0 without the forcing law
+        for val in range(n):
+            if used >> val & 1:
+                continue
+            mark = len(trail)
+            nodes += 1
+            if assign(i, j, val) and consistent(mark):
+                yield from completions(pos + 1)
+            else:
+                failures += 1
+            undo(mark)
+
+    pins = [(i, i, i) for i in range(n)] if has_idem else []
+    # the scanners see instances through the cells they read; those of a
+    # law without products (x = y) read none and are decided up front
+    feasible = (n == 1 or all(
+        ident.lhs == ident.rhs
+        for ident in v.identities
+        if isinstance(ident.lhs, Var) and isinstance(ident.rhs, Var)
+    )) and all(assign(*pin) for pin in pins)
+
+    for tab in completions(0) if feasible and consistent(0) else ():
+        report = check_variety(FiniteGroupoid(tab), v)
         if not report.holds:
             raise SearchInvariantError(
                 f"search leaf fails '{report.first_failure.identity}'; "
                 "propagation is unsound"
             )
-        if witness_mode:
-            models.append(g)
-        else:
-            canon = canonical_table(tab)
-            if canon in seen:
-                return
-            seen.add(canon)
-            models.append(FiniteGroupoid(canon))
-        if limit is not None and len(models) >= limit:
-            raise _StopSearch
+        if not witness_mode:
+            tab = canonical_table(tab)
+        if tab not in models:
+            models[tab] = FiniteGroupoid(tab)
+        if len(models) == limit:
+            break
 
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    total = n * n
-
-    def dfs(pos: int) -> None:
-        nonlocal nodes, failures
-        while pos < total and table[cells[pos][0]][cells[pos][1]] is not None:
-            pos += 1
-        if pos == total:
-            leaf()
-            return
-        i, j = cells[pos]
-        for val in range(n):
-            if has_forcing and (
-                row_mask[i] >> val & 1 or col_mask[j] >> val & 1
-            ):
-                continue
-            mark = len(trail)
-            nodes += 1
-            if assign(i, j, val) and consistent(mark):
-                dfs(pos + 1)
-            else:
-                failures += 1
-            undo(mark)
-
-    try:
-        # the scanners see instances through the cells they read; those of a
-        # law without products (x = y) read none and are decided up front
-        feasible = n == 1 or all(
-            ident.lhs == ident.rhs
-            for ident in v.identities
-            if isinstance(ident.lhs, Var) and isinstance(ident.rhs, Var)
-        )
-        if has_idem and feasible:
-            for i in range(n):
-                if not assign(i, i, i):
-                    feasible = False
-                    break
-        if feasible and consistent(0):
-            dfs(0)
-    except _StopSearch:
-        pass
-
-    models.sort(key=lambda g: g.table)
-    if not witness_mode and len(models) <= 10:
-        for a, b in itertools.combinations(models, 2):
+    found = tuple(models[tab] for tab in sorted(models))
+    if not witness_mode and len(found) <= 10:
+        for a, b in itertools.combinations(found, 2):
             if iso_search(a, b) is not None:
                 raise SearchInvariantError(
                     "two canonical models are isomorphic; deduplication is "
                     "broken"
                 )
     stats = SearchStats(nodes, failures, time.perf_counter() - t0)
-    return SearchOutcome(order, v.name, tuple(models), len(models), stats)
+    return SearchOutcome(order, v.name, found, len(found), stats)
 
 
 def spectrum_scan(

@@ -332,13 +332,19 @@ def _corollary_12() -> str:
     return "the order-4 and order-16 levels are isomorphic to their opposites"
 
 
-def _lemma_12() -> str:
+def _gbar_quarters():
+    """The order-16 counterexample and its split into four quarters."""
     gbar = gbar_derived()
-    cancel = gbar.is_cancellative()
-    _need(cancel.both, f"cancellativity report: {cancel}")
     partition = Partition(tuple(tuple(range(b, b + 4)) for b in (0, 4, 8, 12)))
     dec = check_band_decomposition(gbar, partition)
     _need(isinstance(dec, BandDecomposition), f"blocks smear: {dec}")
+    return gbar, dec
+
+
+def _lemma_12() -> str:
+    gbar, dec = _gbar_quarters()
+    cancel = gbar.is_cancellative()
+    _need(cancel.both, f"cancellativity report: {cancel}")
     sizes = {len(block) for block in dec.partition.blocks}
     _need(len(sizes) == 1, f"component sizes {sizes}")
     t = gbar.table
@@ -359,7 +365,7 @@ def _lemma_12() -> str:
 
 
 def _theorem_12() -> str:
-    gbar = gbar_derived()
+    gbar, dec = _gbar_quarters()
     g = standard_g()
     ag = check_variety(gbar, get_variety("ag"))
     _need(ag.holds, f"counterexample fails {ag.first_failure}")
@@ -367,14 +373,11 @@ def _theorem_12() -> str:
     _need(idem.holds, f"counterexample not idempotent: {idem.counterexample}")
     anti = check_identity(gbar, ANTI_RECTANGULAR)
     _need(not anti.holds, "counterexample unexpectedly anti-rectangular")
-    partition = Partition(tuple(tuple(range(b, b + 4)) for b in (0, 4, 8, 12)))
-    dec = check_band_decomposition(gbar, partition)
-    _need(isinstance(dec, BandDecomposition), f"blocks smear: {dec}")
     _need(
         iso_search(dec.quotient, g) is not None,
         "quotient not isomorphic to the order-4 model",
     )
-    for block in partition.blocks:
+    for block in dec.partition.blocks:
         _need(
             iso_search(gbar.restrict(block), g) is not None,
             f"block {block} not isomorphic to the order-4 model",

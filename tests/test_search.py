@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from agband.construct import standard_g, tower_level
-from agband.errors import ResourceLimitError
+from agband.errors import ResourceLimitError, SearchInvariantError
 from agband.groupoid import FiniteGroupoid
 from agband.laws import (
     IDEMPOTENT,
@@ -301,3 +301,30 @@ def test_empty_order_two_search_returns_no_models():
     out = enumerate_models(2, ARAGB)
     assert out.count == 0
     assert out.canonical_models == ()
+
+
+def test_a_leaf_that_fails_the_variety_is_refused(monkeypatch):
+    # scanners that never report a failure leave every law unpropagated,
+    # so the leaf check is the only thing left to catch a bad table
+    monkeypatch.setattr(
+        search, "_compile_kernel", lambda ident, partial: lambda *a: None
+    )
+    with pytest.raises(SearchInvariantError, match="propagation is unsound"):
+        enumerate_models(2, get_variety("ag"))
+
+
+def test_isomorphic_canonical_models_are_refused(monkeypatch):
+    monkeypatch.setattr(search, "canonical_table", lambda table: table)
+    with pytest.raises(SearchInvariantError, match="deduplication is broken"):
+        enumerate_models(3, get_variety("band"))
+
+
+def test_a_limit_in_full_mode_stops_the_walk_early():
+    medial = get_variety("medial")
+    full = enumerate_models(3, medial)
+    out = enumerate_models(3, medial, limit=2)
+    assert out.count == 2
+    assert {m.table for m in out.canonical_models} <= {
+        m.table for m in full.canonical_models
+    }
+    assert (full.count, full.stats.nodes, out.stats.nodes) == (75, 2781, 10)
