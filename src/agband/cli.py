@@ -7,6 +7,7 @@ JSON (default) or a human-readable text view (`--format text`).
 Exit codes: 0 success / all checks pass, 1 mathematical failure (an
 identity fails, no isomorphism exists, tables differ, a claim fails),
 2 usage error (bad arguments, unreadable input, out-of-envelope request).
+A closed stdout ends the process quietly by SIGPIPE, as it ends ``cat``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from dataclasses import asdict
 
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .groupoid import FiniteGroupoid, from_json, render_text, to_doc, to_json
 from .laws import VarietySpec, check_variety, get_variety, parse_identity
-from .morphisms import canonical_iso, classify_all_bijections, iso_search
+from .morphisms import canonical_iso, classify_all_bijections, iso_search, verified
 from .search import brute_force_oracle, enumerate_models, spectrum_scan
 from .verify import run_claims
 
@@ -114,11 +116,13 @@ def _cmd_check(args) -> int:
 def _cmd_iso(args) -> int:
     src = _read_groupoid(args.source)
     dst = _read_groupoid(args.target)
-    mapping = iso_search(src, dst, anti=args.anti)
+    mapping = iso_search(src.opposite() if args.anti else src, dst)
     if mapping is None:
         kind = "anti-isomorphism" if args.anti else "isomorphism"
         print(f"NOT_FOUND: no {kind} exists", file=sys.stderr)
         return 1
+    if args.anti:
+        mapping = verified(mapping.images, src, dst)
     _print_mapping(mapping, src.labels, dst.labels, args.format)
     return 0
 
@@ -477,6 +481,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

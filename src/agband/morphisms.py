@@ -103,17 +103,10 @@ def classify_all_bijections(g: FiniteGroupoid) -> BijectionCensus:
             f"census enumerates {n}! bijections; supported only up to order "
             f"{_CENSUS_LIMIT}"
         )
-    t = g.table
-    t_op = tuple(zip(*t))
     counts = {MapKind.ISO: 0, MapKind.ANTI_ISO: 0, MapKind.NEITHER: 0}
     by_type: dict[tuple[MapKind, tuple[int, ...]], int] = {}
     for perm in itertools.permutations(range(n)):
-        if _is_hom(perm, t, t, n):
-            kind = MapKind.ISO
-        elif _is_hom(perm, t, t_op, n):
-            kind = MapKind.ANTI_ISO
-        else:
-            kind = MapKind.NEITHER
+        kind = classify_mapping(perm, g, g)
         counts[kind] += 1
         key = (kind, cycle_type(perm))
         by_type[key] = by_type.get(key, 0) + 1
@@ -186,36 +179,34 @@ def _search_hom_bijection(ts, td, candidates, n):
     return tuple(images) if extend_from(0) else None
 
 
-def iso_search(src: FiniteGroupoid, dst: FiniteGroupoid,
-               anti: bool = False) -> Mapping | None:
-    """Deterministic search for an isomorphism (or anti-isomorphism).
+def iso_search(src: FiniteGroupoid, dst: FiniteGroupoid) -> Mapping | None:
+    """Deterministic search for an isomorphism src -> dst; an
+    anti-isomorphism from src is an isomorphism from ``src.opposite()``.
 
     Returns the mapping with lexicographically least images, re-verified, or
-    None if the groupoids are not (anti-)isomorphic.
+    None if the groupoids are not isomorphic.
     """
     if src.order != dst.order:
         return None
     n = src.order
-    effective = src.opposite() if anti else src
-    inv_s = _invariant_vectors(effective)
+    inv_s = _invariant_vectors(src)
     inv_d = _invariant_vectors(dst)
     if sorted(inv_s) != sorted(inv_d):
         return None
     candidates = [
         frozenset(p for p in range(n) if inv_d[p] == inv_s[u]) for u in range(n)
     ]
-    images = _search_hom_bijection(effective.table, dst.table, candidates, n)
+    images = _search_hom_bijection(src.table, dst.table, candidates, n)
     if images is None:
         return None
+    return _verified_iso(images, src, dst)
+
+
+def _verified_iso(images, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mapping:
+    """``verified``, refusing any kind but ISO with SearchInvariantError."""
     f = verified(images, src, dst)
-    want = MapKind.ANTI_ISO if anti else MapKind.ISO
-    if f.kind != want and not (
-        anti and f.kind == MapKind.ISO
-        and _is_hom(f.images, src.table, tuple(zip(*dst.table)), n)
-    ):
-        raise SearchInvariantError(
-            f"search produced a mapping that re-verifies as {f.kind}, not {want}"
-        )
+    if f.kind != MapKind.ISO:
+        raise SearchInvariantError(f"mapping re-verifies as {f.kind}, not ISO")
     return f
 
 
@@ -233,9 +224,8 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
     swaps the images of cd and dc.
     """
     kind = classify_mapping(phi.images, src, dst)
-    n = src.order
-    if kind == MapKind.ISO and _is_hom(
-        phi.images, src.table, tuple(zip(*dst.table)), n
+    if kind == MapKind.ISO and (
+        classify_mapping(phi.images, src.opposite(), dst) == MapKind.ISO
     ):
         # commutative case: the given mapping already is an isomorphism
         return Mapping(phi.images, MapKind.ISO)
@@ -247,15 +237,10 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
         # refused: a source outside the variety is named by its law sweep
         require_aragb(src, "source")
         raise
-    back = [0] * n
+    back = [0] * src.order
     for e, image in enumerate(canonical_iso(dst, phi.images).images):
         back[image] = e
-    f = verified([back[image] for image in forth.images], src, dst)
-    if f.kind != MapKind.ISO:
-        raise SearchInvariantError(
-            f"composed mapping re-verifies as {f.kind}, not ISO"
-        )
-    return f
+    return _verified_iso([back[image] for image in forth.images], src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +332,4 @@ def _staged_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
             "distinct images"
         )
 
-    f = verified([phi[e] for e in range(n)], k, target)
-    if f.kind != MapKind.ISO:
-        raise SearchInvariantError(
-            f"constructed mapping re-verifies as {f.kind}, not ISO"
-        )
-    return f
+    return _verified_iso([phi[e] for e in range(n)], k, target)

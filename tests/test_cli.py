@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import agband
 from agband.cli import run
-from agband.construct import standard_g
+from agband.construct import standard_g, tower_level
 from agband.groupoid import to_json
 
 
@@ -110,6 +115,22 @@ def test_every_subcommand_renders_text(argv, code, line, g_file, capsys):
     assert any(row.startswith(line) for row in out)
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_a_closed_stdout_ends_the_process_quietly():
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(agband.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "agband.cli", "build", "gn", "--n", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
+
+
 def test_check_passes_on_file_input(g_file, capsys):
     assert run(["check", g_file, "--variety", "aragb"]) == 0
     doc = out_json(capsys)
@@ -188,6 +209,25 @@ def test_iso_not_found_exits_one(g_file, tmp_path, capsys):
     assert "NOT_FOUND" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt, line", [
+    ("text", "kind: ISO"), ("json", '  "kind": "ISO"'),
+])
+def test_iso_anti_on_a_commutative_table_prints_iso(fmt, line, tmp_path, capsys):
+    z2 = tmp_path / "z2.json"
+    z2.write_text(json.dumps({
+        "order": 2, "labels": ["u", "v"], "table": [[0, 1], [1, 0]],
+    }))
+    assert run(["iso", str(z2), str(z2), "--anti", "--format", fmt]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_iso_anti_not_found_exits_one(g_file, tmp_path, capsys):
+    l2 = tmp_path / "l2.json"
+    l2.write_text(to_json(tower_level(2)))
+    assert run(["iso", g_file, str(l2), "--anti"]) == 1
+    assert capsys.readouterr().err == "NOT_FOUND: no anti-isomorphism exists\n"
+
+
 def test_classify_bijections_matches_the_census(g_file, capsys):
     assert run(["classify-bijections", g_file]) == 0
     doc = out_json(capsys)
@@ -257,7 +297,6 @@ def test_decompose_gcopies_and_extension(g_file, capsys):
 
 
 def test_decompose_gcopies_on_a_relabelled_order_256_table(tmp_path, capsys):
-    from agband.construct import tower_level
     from agband.search import canonical_table
 
     perm = list(range(256))
