@@ -164,8 +164,8 @@ def enumerate_models(
     if witness_mode and limit is None:
         raise ResourceLimitError(
             f"full enumeration of '{v.name}' at order {order} exceeds the "
-            f"desk-scale envelope ({full_limit}); pass limit= "
-            f"to search for witnesses instead"
+            f"desk-scale envelope (order {full_limit}); only a witness "
+            "search with a limit (models --limit) goes past it"
         )
     scanners = [
         _compile_kernel(ident, partial=True)

@@ -364,6 +364,13 @@ def test_models_witness_mode_requires_limit(capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_spectrum_past_the_envelope_is_a_usage_error(capsys):
+    assert run(["spectrum", "--max-order", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(order 8)" in captured.err and "limit=" not in captured.err
+
+
 def test_diff_identical_tables_exits_zero(g_file, capsys):
     assert run(["diff", g_file, g_file]) == 0
     assert out_json(capsys) == []

@@ -1,6 +1,11 @@
 """Whole CLI outputs, byte for byte: every subcommand in both formats on
 small inputs, and the refusals, against ``tests/golden/cli.json``.
 
+``tests/golden/cli.json`` and ``tests/golden/verify-paper.json`` (checked
+in ``tests/test_cli.py``) are the output spec of the CLI and of
+``verify-paper``.  ``tests/test_cli.py`` checks what a case here cannot
+pin: the process exit, stdin, malformed input and emitted files.
+
 The golden file maps each command line, as ``shlex.split`` reads it, to
 its exit code, stdout and stderr.  Only the wall-clock ``seconds`` of ``models`` is masked.
 Rewrite it, on purpose only, with
