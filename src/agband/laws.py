@@ -14,7 +14,8 @@ itself (such as ``x = xx``), and tables above order 256, keep the scalar
 loop.  Both sweeps report the same lexicographically first counterexample.
 The same compiler builds the model search's delta scanners: on a partial
 table, with ``None`` for undecided cells, they re-check only the instances
-that read one given cell, always with scalar loops.
+that read one given cell, always with scalar loops, and report the cells
+those instances force.
 """
 
 from __future__ import annotations
@@ -227,11 +228,16 @@ def _compile_kernel(identity: Identity, partial: bool = False):
     (tables of order above 256).
 
     With ``partial`` the result is the model search's delta scanner
-    ``_scan(t, n, by_value, i, j)``.  The table may hold ``None`` holes
-    (undecided cells), and ``by_value[k]`` lists the decided cells holding
-    ``k``.  It returns a failing instance, as a tuple in variable order,
-    among the instances that read the decided cell ``(i, j)``, skipping
-    those with an undecided subterm, or None.  An instance reads ``(i, j)``
+    ``_scan(t, n, by_value, i, j, forced)``.  The table may hold ``None``
+    holes (undecided cells), and ``by_value[k]`` lists the decided cells
+    holding ``k``.  It returns a failing instance, as a tuple in variable
+    order, among the instances that read the decided cell ``(i, j)``,
+    skipping those with an undecided subterm, or None.  An instance whose
+    one side is decided, and whose other side's only undecided cell is the
+    one its outermost product reads, forces that cell to the decided
+    value: the scanner appends ``(row, column, value)`` to ``forced`` and
+    goes on; it may append a cell more than once, and stops appending at a
+    failure.  An instance reads ``(i, j)``
     exactly when some product in the identity has operands that evaluate
     to ``i`` and ``j``, so there is one block per distinct product, and
     each pins that product's operands: a variable is bound to the value
@@ -253,14 +259,14 @@ def _compile_kernel(identity: Identity, partial: bool = False):
         # which it can be computed; with ``vector`` the ones that depend on
         # w are bytes of length n
         level = {v: k for k, (_, _, bound) in enumerate(steps) for v in bound}
-        names: dict[str, str] = {}
-        stmts: list[tuple[int, str, str]] = []
+        names: dict[tuple[str, bool], str] = {}
+        stmts: list[tuple[int, str, str, bool]] = []
 
-        def temp(expr: str, lvl: int) -> str:
-            if expr not in names:
-                names[expr] = f"_s{len(names)}"
-                stmts.append((lvl, names[expr], expr))
-            return names[expr]
+        def temp(expr: str, lvl: int, guard: bool = True) -> str:
+            if (expr, guard) not in names:
+                names[expr, guard] = f"_s{len(names)}"
+                stmts.append((lvl, names[expr, guard], expr, guard))
+            return names[expr, guard]
 
         def lower(t: Term) -> tuple[str, int, bool] | None:
             # -> (name, step, depends on w); None when w meets itself
@@ -287,7 +293,17 @@ def _compile_kernel(identity: Identity, partial: bool = False):
             lvl = max(la, lb)
             return temp(expr, lvl), lvl, va or vb
 
-        lhs, rhs = lower(identity.lhs), lower(identity.rhs)
+        def side(t: Term):
+            # -> (lowered, cell); in a scanner a side's outermost product
+            # is left unguarded, and ``cell`` is the cell it reads, which
+            # the other side's value forces while it is undecided
+            if not partial or isinstance(t, Var) or t in known:
+                return lower(t), None
+            (a, la, _), (b, lb, _) = lower(t.left), lower(t.right)
+            lvl = max(la, lb)
+            return (temp(f"_t[{a}][{b}]", lvl, False), lvl, False), (a, b)
+
+        (lhs, lcell), (rhs, rcell) = side(identity.lhs), side(identity.rhs)
         if lhs is None or rhs is None:
             return None
         (a, la, va), (b, lb, vb) = lhs, rhs
@@ -304,15 +320,23 @@ def _compile_kernel(identity: Identity, partial: bool = False):
                 line, opens, _ = steps[k]
                 code.append(pad * depth + line)
                 depth += opens
-            for tl, name, expr in stmts:
+            for tl, name, expr, guard in stmts:
                 if tl == k:
                     code.append(pad * depth + f"{name} = {expr}")
-                    if partial:
+                    if partial and guard:
                         code.append(pad * depth + f"if {name} is not None:")
                         depth += 1
         inner = pad * depth
         found = f"return ({', '.join(order)},)"
-        code.append(inner + f"if {a} != {b}:")
+        test = "if"
+        for x, y, cell in ((a, b, lcell), (b, a, rcell)):
+            if cell:
+                code += [inner + f"{test} {x} is None:",
+                         inner + pad + f"if {y} is not None:",
+                         inner + pad * 2
+                         + f"_forced.append(({cell[0]}, {cell[1]}, {y}))"]
+                test = "elif"
+        code.append(inner + f"{test} {a} != {b}:")
         if vector:
             code.append(inner + pad + f"for {w} in range(_n):")
             code.append(inner + pad * 2 + f"if {a}[{w}] != {b}[{w}]:")
@@ -367,7 +391,7 @@ def _compile_kernel(identity: Identity, partial: bool = False):
 
     if partial:
         fname = "_scan"
-        src = ["def _scan(_t, _n, _by_value, _i, _j):",
+        src = ["def _scan(_t, _n, _by_value, _i, _j, _forced):",
                pad + "_v = _t[_i][_j]",
                pad + "if _v is None:",
                pad * 2 + "return None"]

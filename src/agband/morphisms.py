@@ -30,15 +30,21 @@ class Mapping:
     kind: MapKind
 
 
-def _is_hom(images, s_table, d_table, n) -> bool:
-    """Whether images is a homomorphism; into the transposed target table,
-    ``tuple(zip(*d_table))``, whether it is an anti-homomorphism."""
+def _is_hom(images, s_table, d_table, n, anti: bool) -> bool:
+    """Whether images is a homomorphism, f(ij) = f(i)f(j), or with
+    ``anti`` an anti-homomorphism, f(ij) = f(j)f(i)."""
     for i in range(n):
         row = s_table[i]
         fi = images[i]
-        for j in range(n):
-            if images[row[j]] != d_table[fi][images[j]]:
-                return False
+        if anti:
+            for j in range(n):
+                if images[row[j]] != d_table[images[j]][fi]:
+                    return False
+        else:
+            line = d_table[fi]
+            for j in range(n):
+                if images[row[j]] != line[images[j]]:
+                    return False
     return True
 
 
@@ -50,9 +56,9 @@ def classify_mapping(images, src: FiniteGroupoid, dst: FiniteGroupoid) -> MapKin
     n = src.order
     if dst.order != n or sorted(images) != list(range(n)):
         raise ValueError("mapping is not a bijection between equal orders")
-    if _is_hom(images, src.table, dst.table, n):
+    if _is_hom(images, src.table, dst.table, n, False):
         return MapKind.ISO
-    if _is_hom(images, src.table, tuple(zip(*dst.table)), n):
+    if _is_hom(images, src.table, dst.table, n, True):
         return MapKind.ANTI_ISO
     return MapKind.NEITHER
 

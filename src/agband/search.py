@@ -7,9 +7,13 @@ containing that law get row/column all-different pruning (it implies both
 cancellation properties), and the ground instances of the remaining
 identities that read a newly decided cell are re-checked at once, by the
 delta scanners of ``laws._compile_kernel``; every other instance was
-already checked or is still undecided.  Symmetry is broken by a first-row
-lex constraint during search plus exact canonicalization over all
-relabelings at the leaves for orders up to 8.
+already checked or is still undecided.  An instance with one side decided
+whose other side lacks only its outermost cell forces that cell to the
+decided value; forced cells are scanned in turn until nothing changes.
+Propagation removes only partial tables that cannot be completed, so the
+walk reaches the same complete tables in the same row-major order.
+Symmetry is broken by a first-row lex constraint during search plus exact
+canonicalization over all relabelings at the leaves for orders up to 8.
 
 The walk only yields the completed tables.  One loop after it re-checks
 each against the variety, canonicalizes it, drops repeats and stops at the
@@ -72,6 +76,20 @@ class SearchOutcome:
 # canonical forms
 
 
+@lru_cache(maxsize=None)
+def _relabelings(n: int, fixed: int = 0):
+    """Every relabeling of range(n) that fixes 0..fixed-1, with its
+    inverse, in lexicographic order of the relabelings."""
+    out = []
+    for rest in itertools.permutations(range(fixed, n)):
+        p = tuple(range(fixed)) + rest
+        inv = [0] * n
+        for i, pi in enumerate(p):
+            inv[pi] = i
+        out.append((p, tuple(inv)))
+    return tuple(out)
+
+
 def canonical_table(
     table: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
@@ -83,21 +101,23 @@ def canonical_table(
             f"order {_CANONICAL_LIMIT}"
         )
     best = None
-    rng = range(n)
-    for p in itertools.permutations(rng):
-        inv = [0] * n
-        for i, pi in enumerate(p):
-            inv[pi] = i
-        i0 = inv[0]
-        row0 = tuple(p[table[i0][inv[c]]] for c in rng)
-        if best is not None and row0 > best[0]:
-            continue
-        cand = (row0,) + tuple(
-            tuple(p[table[inv[r]][inv[c]]] for c in rng) for r in range(1, n)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+    for p, inv in _relabelings(n):
+        # build the relabeled table row by row; while it ties with the
+        # best so far, a greater row rules it out and a smaller one wins
+        cand = []
+        tie = best is not None
+        for r in range(n):
+            src = table[inv[r]]
+            row = tuple([p[src[c]] for c in inv])
+            if tie:
+                if row > best[r]:
+                    break
+                tie = row == best[r]
+            cand.append(row)
+        else:
+            if not tie:
+                best = cand
+    return tuple(best)
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +129,8 @@ def canonical_table(
 # never discards a canonical representative.
 
 
-@lru_cache(maxsize=None)
-def _stabilizer_perms(n: int):
-    out = []
-    for rest in itertools.permutations(range(1, n)):
-        sigma = (0,) + rest
-        inv = [0] * n
-        for i, s in enumerate(sigma):
-            inv[s] = i
-        out.append((sigma, tuple(inv)))
-    return tuple(out)
-
-
 def _row0_minimal(row0: tuple[int, ...], n: int) -> bool:
-    for sigma, inv in _stabilizer_perms(n):
+    for sigma, inv in _relabelings(n, 1):
         for j in range(1, n):
             v = sigma[row0[inv[j]]]
             cur = row0[j]
@@ -185,8 +193,9 @@ def enumerate_models(
     models: dict[tuple[tuple[int, ...], ...], FiniteGroupoid] = {}
     row0_memo: dict[tuple[int, ...], bool] = {}
 
-    def assign(i: int, j: int, val: int) -> bool:
-        queue = [(i, j, val)]
+    def assign(queue: list[tuple[int, int, int]]) -> bool:
+        # decide each (row, column, value) on the queue, and the cells the
+        # forcing law adds to it; False at the first conflict
         while queue:
             a, b, x = queue.pop()
             cur = table[a][b]
@@ -219,11 +228,17 @@ def enumerate_models(
 
     def consistent(mark: int) -> bool:
         # the state before ``mark`` was consistent, so a failing instance
-        # now must read a cell decided since
-        for a, b in trail[mark:]:
+        # now must read a cell decided since; the cells the scanners force
+        # join the trail and are scanned in turn, until none is new
+        forced: list[tuple[int, int, int]] = []
+        while mark < len(trail):
+            a, b = trail[mark]
+            mark += 1
             for scan in scanners:
-                if scan(table, n, by_value, a, b) is not None:
+                if scan(table, n, by_value, a, b, forced) is not None:
                     return False
+            if not assign(forced):
+                return False
         if not witness_mode and None not in table[0]:
             key = tuple(table[0])
             ok = row0_memo.get(key)
@@ -247,7 +262,7 @@ def enumerate_models(
                 continue
             mark = len(trail)
             nodes += 1
-            if assign(i, j, val) and consistent(mark):
+            if assign([(i, j, val)]) and consistent(mark):
                 yield from completions(pos + 1)
             else:
                 failures += 1
@@ -260,7 +275,7 @@ def enumerate_models(
         ident.lhs == ident.rhs
         for ident in v.identities
         if isinstance(ident.lhs, Var) and isinstance(ident.rhs, Var)
-    )) and all(assign(*pin) for pin in pins)
+    )) and assign(pins)
 
     for tab in completions(0) if feasible and consistent(0) else ():
         report = check_variety(FiniteGroupoid(tab), v)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,13 +33,13 @@ from agband.search import (
 ARAGB = get_variety("aragb")
 
 
-def _terms():
+def _terms(names="xyijnt", max_leaves=5):
     # i, j, n and t are also the scanner's argument names in a careless
     # generator; law variables must not clash with them
     return st.recursive(
-        st.sampled_from("xyijnt").map(Var),
+        st.sampled_from(names).map(Var),
         lambda sub: st.tuples(sub, sub).map(lambda p: Prod(*p)),
-        max_leaves=5,
+        max_leaves=max_leaves,
     )
 
 
@@ -66,13 +67,27 @@ def _reading(term, env, table, cells):
     return table[left][right]
 
 
+def _side(term, env, table, cells):
+    """(value, None) as ``_reading`` gives it, or (None, cell) when the
+    outermost product reads the undecided ``cell`` and all below it is
+    decided."""
+    if isinstance(term, Prod):
+        left = _reading(term.left, env, table, cells)
+        right = None if left is None else _reading(term.right, env, table, cells)
+        if right is not None and table[left][right] is None:
+            return None, (left, right)
+    return _reading(term, env, table, cells), None
+
+
 @given(_terms(), _terms(), _partial_tables(), st.data())
 @settings(max_examples=300)
 def test_delta_scanner_finds_exactly_the_failures_reading_a_cell(
     lhs, rhs, table, data
 ):
     # the compiled delta scanner against a sweep of every instance with an
-    # evaluator that records the cells each instance reads
+    # evaluator that records the cells each instance reads; an instance
+    # with one side decided forces the other side's outermost cell when
+    # that is all it lacks
     ident = Identity(lhs, rhs)
     names = variables(ident)
     n = len(table)
@@ -82,18 +97,26 @@ def test_delta_scanner_finds_exactly_the_failures_reading_a_cell(
     by_value = [[] for _ in range(n)]
     for a, b in data.draw(st.permutations(decided)):
         by_value[table[a][b]].append((a, b))
-    failing = set()
+    failing, forced = set(), set()
     for vals in itertools.product(range(n), repeat=len(names)):
         env = dict(zip(names, vals))
         cells = set()
-        left = _reading(lhs, env, table, cells)
-        right = _reading(rhs, env, table, cells)
+        left, lcell = _side(lhs, env, table, cells)
+        right, rcell = _side(rhs, env, table, cells)
+        if (i, j) not in cells:
+            continue
         if left is not None and right is not None and left != right:
-            if (i, j) in cells:
-                failing.add(vals)
-    got = _compile_kernel(ident, partial=True)(table, n, by_value, i, j)
+            failing.add(vals)
+        if lcell and right is not None:
+            forced.add(lcell + (right,))
+        if rcell and left is not None:
+            forced.add(rcell + (left,))
+    got_forced = []
+    got = _compile_kernel(ident, partial=True)(table, n, by_value, i, j, got_forced)
     assert (got is None) == (not failing)
     assert got is None or got in failing
+    # a scanner stops at the first failure, so it may not get to every force
+    assert set(got_forced) == forced if got is None else set(got_forced) <= forced
 
 
 @given(_terms(), _partial_tables(), st.data())
@@ -113,8 +136,19 @@ def test_delta_scanner_on_a_table_with_a_hole():
     table = [[0, 1], [0, None]]
     by_value = [[(0, 0), (1, 0)], [(0, 1)]]
     for cell in ((0, 0), (0, 1), (1, 0)):
-        assert scan(table, 2, by_value, *cell) in {(0, 0, 1), (1, 0, 0)}
-    assert scan(table, 2, by_value, 1, 1) is None
+        assert scan(table, 2, by_value, *cell, []) in {(0, 0, 1), (1, 0, 0)}
+    assert scan(table, 2, by_value, 1, 1, []) is None
+
+
+def test_delta_scanner_forces_the_one_cell_an_instance_lacks():
+    # at x = y = 1, z = 0 the side (zy)x = (01)1 = 11 = 0 is decided
+    # through the cell (0, 1), and (xy)z = (11)0 = 00 lacks only the hole
+    scan = _compile_kernel(parse_identity("(xy)z = (zy)x"), partial=True)
+    table = [[None, 1], [1, 0]]
+    by_value = [[(1, 1)], [(0, 1), (1, 0)]]
+    forced = []
+    assert scan(table, 2, by_value, 0, 1, forced) is None
+    assert set(forced) == {(0, 0, 0)}
 
 
 def test_canonical_table_is_a_relabelling_invariant():
@@ -122,6 +156,32 @@ def test_canonical_table_is_a_relabelling_invariant():
     base = canonical_table(g.table)
     for perm in ((1, 0, 3, 2), (3, 2, 1, 0), (2, 3, 0, 1)):
         assert canonical_table(g.relabel(perm).table) == base
+
+
+def _symmetric_tables(n):
+    # tables with many automorphisms, where relabelings tie row by row
+    yield tuple((0,) * n for _ in range(n))
+    yield tuple((i,) * n for i in range(n))
+    yield tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    yield tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonical_table_is_the_minimum_over_all_relabelings(n):
+    rng = random.Random(n)
+    tables = list(_symmetric_tables(n)) + [
+        tuple(tuple(rng.choice(values) for _ in range(n)) for _ in range(n))
+        for values in ([0, n - 1], range(n)) * (8 if n < 6 else 2)
+    ]
+    for table in tables:
+        relabeled = []
+        for p in itertools.permutations(range(n)):
+            inv = [p.index(k) for k in range(n)]
+            relabeled.append(tuple(
+                tuple(p[table[inv[r]][inv[c]]] for c in range(n))
+                for r in range(n)
+            ))
+        assert canonical_table(table) == min(relabeled)
 
 
 def test_canonical_table_order_limit():
@@ -137,19 +197,19 @@ def test_single_order_four_model_up_to_isomorphism():
     assert out.stats.nodes > 0
 
 
-# (order, classes, nodes, propagation failures) as the full-table rescan
-# counted them; a lost or a wrong prune changes the nodes or the failures
+# (order, classes, nodes, propagation failures); a lost or a wrong prune
+# or force changes the nodes or the failures
 SEARCH_COUNTS = {
-    "ag": [(1, 1, 1, 0), (2, 3, 26, 8), (3, 20, 1503, 922),
-           (4, 331, 334684, 247715)],
-    "band": [(1, 1, 0, 0), (2, 1, 6, 2), (3, 2, 117, 72), (4, 6, 3916, 2897),
-             (5, 18, 575765, 460221)],
-    "aragb": [(1, 1, 0, 0), (2, 0, 0, 0), (3, 0, 2, 1), (4, 1, 8, 2),
-              (5, 0, 20, 9), (6, 0, 81, 43), (7, 0, 329, 178),
-              (8, 0, 1179, 717)],
-    "evans": [(1, 1, 1, 0), (2, 0, 14, 8), (3, 0, 180, 121),
-              (4, 1, 4624, 3466)],
-    "medial": [(1, 1, 1, 0), (2, 7, 30, 6), (3, 75, 2781, 1592)],
+    "ag": [(1, 1, 1, 0), (2, 3, 18, 4), (3, 20, 471, 234),
+           (4, 331, 22104, 13280)],
+    "band": [(1, 1, 0, 0), (2, 1, 2, 0), (3, 2, 27, 12), (4, 6, 292, 179),
+             (5, 18, 4300, 3049)],
+    "aragb": [(1, 1, 0, 0), (2, 0, 0, 0), (3, 0, 2, 1), (4, 1, 5, 2),
+              (5, 0, 14, 5), (6, 0, 53, 23), (7, 0, 162, 90),
+              (8, 0, 603, 273)],
+    "evans": [(1, 1, 1, 0), (2, 0, 8, 5), (3, 0, 39, 27),
+              (4, 1, 272, 202)],
+    "medial": [(1, 1, 1, 0), (2, 7, 26, 4), (3, 75, 1134, 494)],
 }
 
 
@@ -162,6 +222,45 @@ def test_search_counts_are_pinned(name, order, count, nodes, failures):
     assert (out.count, out.stats.nodes, out.stats.propagation_failures) == (
         count, nodes, failures
     )
+
+
+@pytest.mark.parametrize("name", ["ag", "band"])
+def test_propagation_loses_no_leaf_and_reorders_none(name, monkeypatch):
+    # the walk yields every model whose first row is minimal, in row-major
+    # lexicographic order, exactly as a sweep over all 3**9 tables does
+    v = get_variety(name)
+    n = 3
+    instances = [
+        (ident, dict(zip(variables(ident), vals)))
+        for ident in v.identities
+        for vals in itertools.product(range(n), repeat=len(variables(ident)))
+    ]
+    swept = []
+    for cells in itertools.product(range(n), repeat=n * n):
+        table = tuple(cells[r * n:(r + 1) * n] for r in range(n))
+        if search._row0_minimal(table[0], n) and all(
+            eval_term(ident.lhs, table, env) == eval_term(ident.rhs, table, env)
+            for ident, env in instances
+        ):
+            swept.append(table)
+    walked = []
+    canonical = search.canonical_table
+    monkeypatch.setattr(
+        search, "canonical_table",
+        lambda table: walked.append(table) or canonical(table),
+    )
+    enumerate_models(n, v)
+    assert walked == swept
+
+
+@given(_terms("xyz", 4), _terms("xyz", 4), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_any_law_enumerates_as_the_oracle_counts(lhs, rhs, n):
+    # shapes the presets lack: a variable side, a right-nested product,
+    # a variable on one side only
+    assume(lhs != rhs)
+    v = VarietySpec("T", (Identity(lhs, rhs),))
+    assert enumerate_models(n, v).count == brute_force_oracle(n, v)
 
 
 @pytest.mark.parametrize("law", ["x = y", "xx = y"])
@@ -324,7 +423,11 @@ def test_a_limit_in_full_mode_stops_the_walk_early():
     full = enumerate_models(3, medial)
     out = enumerate_models(3, medial, limit=2)
     assert out.count == 2
+    assert [m.table for m in out.canonical_models] == [
+        ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 0, 0), (0, 0, 1)),
+    ]
     assert {m.table for m in out.canonical_models} <= {
         m.table for m in full.canonical_models
     }
-    assert (full.count, full.stats.nodes, out.stats.nodes) == (75, 2781, 10)
+    assert (full.count, full.stats.nodes, out.stats.nodes) == (75, 1134, 10)
