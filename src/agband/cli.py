@@ -8,16 +8,20 @@ Exit codes: 0 success / all checks pass, 1 mathematical failure (an
 identity fails, no isomorphism exists, tables differ, a claim fails),
 2 usage error (bad arguments, unreadable input, out-of-envelope request).
 A closed stdout ends the process quietly by SIGPIPE, as it ends ``cat``.
+
+Each call runs only the modules its subcommand uses: `laws`, `morphisms`,
+`decompose`, `search` and `verify` are in sys.modules once this module is
+imported, but each runs on first use, so `build g` runs none of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import signal
 import sys
-from dataclasses import asdict
 
 from .construct import (
     diff_tables,
@@ -28,13 +32,6 @@ from .construct import (
     standard_g,
     tower_level,
 )
-from .decompose import (
-    BandDecomposition,
-    Partition,
-    check_band_decomposition,
-    extension_block_decomposition,
-    g_copy_partition,
-)
 from .errors import (
     ClosureError,
     ResourceLimitError,
@@ -42,10 +39,29 @@ from .errors import (
     VarietyError,
 )
 from .groupoid import FiniteGroupoid, from_json, render_text, to_doc, to_json
-from .laws import VarietySpec, check_variety, get_variety, parse_identity
-from .morphisms import canonical_iso, classify_all_bijections, iso_search, verified
-from .search import brute_force_oracle, enumerate_models, spectrum_scan
-from .verify import run_claims
+
+
+def _lazy(name: str):
+    """``agband.<name>``: the module in sys.modules, or one put there now to
+    run on its first attribute access (the importlib.util.LazyLoader recipe),
+    bound on the package either way, as an import binds it."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+laws = _lazy("laws")
+morphisms = _lazy("morphisms")
+decompose = _lazy("decompose")
+search = _lazy("search")
+verify = _lazy("verify")
 
 
 def _read_groupoid(path: str) -> FiniteGroupoid:
@@ -88,12 +104,12 @@ def _cmd_build(args) -> int:
 def _cmd_check(args) -> int:
     g = _read_groupoid(args.input)
     if args.law:
-        spec = VarietySpec(
-            "custom", tuple(parse_identity(text) for text in args.law)
+        spec = laws.VarietySpec(
+            "custom", tuple(laws.parse_identity(text) for text in args.law)
         )
     else:
-        spec = get_variety(args.variety or "aragb")
-    report = check_variety(g, spec)
+        spec = laws.get_variety(args.variety or "aragb")
+    report = laws.check_variety(g, spec)
     if args.format == "text":
         for r in report.reports:
             verdict = "holds" if r.holds else f"fails at {r.counterexample}"
@@ -101,6 +117,7 @@ def _cmd_check(args) -> int:
         print(f"{spec.name} on order {g.order}: "
               + ("holds" if report.holds else "fails"))
     else:
+        from dataclasses import asdict
         _print_json({
             "variety": spec.name,
             "order": g.order,
@@ -116,20 +133,20 @@ def _cmd_check(args) -> int:
 def _cmd_iso(args) -> int:
     src = _read_groupoid(args.source)
     dst = _read_groupoid(args.target)
-    mapping = iso_search(src.opposite() if args.anti else src, dst)
+    mapping = morphisms.iso_search(src.opposite() if args.anti else src, dst)
     if mapping is None:
         kind = "anti-isomorphism" if args.anti else "isomorphism"
         print(f"NOT_FOUND: no {kind} exists", file=sys.stderr)
         return 1
     if args.anti:
-        mapping = verified(mapping.images, src, dst)
+        mapping = morphisms.verified(mapping.images, src, dst)
     _print_mapping(mapping, src.labels, dst.labels, args.format)
     return 0
 
 
 def _cmd_classify_bijections(args) -> int:
     g = _read_groupoid(args.input)
-    census = classify_all_bijections(g)
+    census = morphisms.classify_all_bijections(g)
     rows = [
         {"kind": kind.value, "cycle_type": ct, "count": count}
         for (kind, ct), count in sorted(
@@ -164,7 +181,7 @@ def _cmd_canonical_iso(args) -> int:
         enumeration = tuple(
             int(part) for part in args.enumeration.split(",") if part != ""
         )
-    mapping = canonical_iso(g, enumeration)
+    mapping = morphisms.canonical_iso(g, enumeration)
     _print_mapping(mapping, g.labels, range(g.order), args.format)
     return 0
 
@@ -172,19 +189,19 @@ def _cmd_canonical_iso(args) -> int:
 def _cmd_decompose(args) -> int:
     quotient = None
     if args.mode == "extension":
-        dec = extension_block_decomposition(args.n)
+        dec = decompose.extension_block_decomposition(args.n)
         partition, quotient = dec.partition, dec.quotient
     elif args.mode == "gcopies":
-        partition = g_copy_partition(_read_groupoid(args.input))
+        partition = decompose.g_copy_partition(_read_groupoid(args.input))
     else:
         g = _read_groupoid(args.input)
         blocks = json.loads(args.partition)
         if type(blocks) is not list or any(type(b) is not list for b in blocks):
             raise ValueError("--partition must be a JSON list of lists")
-        outcome = check_band_decomposition(
-            g, Partition(tuple(tuple(b) for b in blocks))
+        outcome = decompose.check_band_decomposition(
+            g, decompose.Partition(tuple(tuple(b) for b in blocks))
         )
-        if not isinstance(outcome, BandDecomposition):
+        if not isinstance(outcome, decompose.BandDecomposition):
             print(
                 "NOT_A_DECOMPOSITION: products of blocks smear; witness "
                 f"u={outcome.u}, v={outcome.v}, u'={outcome.u2}, "
@@ -207,15 +224,15 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    v = get_variety(args.variety)
-    scan = spectrum_scan(v, args.max_order)
+    v = laws.get_variety(args.variety)
+    scan = search.spectrum_scan(v, args.max_order)
     rows = []
     mismatch = False
     for order, count in scan:
         row = {"order": order, "count": count}
         if args.oracle:
             try:
-                row["oracle"] = brute_force_oracle(order, v)
+                row["oracle"] = search.brute_force_oracle(order, v)
                 if row["oracle"] != count:
                     mismatch = True
             except ResourceLimitError:
@@ -240,8 +257,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_models(args) -> int:
-    v = get_variety(args.variety)
-    out = enumerate_models(args.order, v, args.limit)
+    from dataclasses import asdict
+    v = laws.get_variety(args.variety)
+    out = search.enumerate_models(args.order, v, args.limit)
     summary = {
         "order": out.order,
         "variety": out.variety,
@@ -315,12 +333,13 @@ def _cmd_verify_paper(args) -> int:
             for claim in chunk.split(",")
             if claim != ""
         ]
-    report = run_claims(only)
+    report = verify.run_claims(only)
     if args.format == "text":
         for r in report.results:
             print(f"{r.status:<7} {r.claim:<15} [{r.reference}] {r.detail}")
         print(f"overall: {report.overall}")
     else:
+        from dataclasses import asdict
         _print_json({
             "overall": report.overall,
             "results": [asdict(r) for r in report.results],
@@ -375,9 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[fmt], help="check identities on a table")
     p.add_argument("input", nargs="?", default="-", help="Cayley JSON file or -")
     # no default, so that an explicit --variety always conflicts with --law
-    laws = p.add_mutually_exclusive_group()
-    laws.add_argument("--variety", help="preset name (default aragb)")
-    laws.add_argument(
+    choice = p.add_mutually_exclusive_group()
+    choice.add_argument("--variety", help="preset name (default aragb)")
+    choice.add_argument(
         "--law", action="append", default=[],
         help="inline identity, e.g. '(xy)z = (zy)x' (repeatable)",
     )

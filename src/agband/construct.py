@@ -15,7 +15,6 @@ from operator import itemgetter
 
 from .errors import ResourceLimitError
 from .groupoid import FiniteGroupoid
-from .laws import eval_term, parse_term, require_aragb
 
 # ---------------------------------------------------------------------------
 # the standard order-4 model
@@ -91,6 +90,7 @@ def extend(base: FiniteGroupoid, designated: int = 0,
         x_label = "x"
     if x_label in base.labels:
         raise ValueError(f"label {x_label!r} already used in the base")
+    from .laws import require_aragb  # here, so that `build g` never runs laws
     require_aragb(base, "base")
     m = base.table
     a = designated
@@ -265,6 +265,7 @@ _GBAR_WORDS = {
 
 def gbar_derived() -> FiniteGroupoid:
     """The order-16 table built from its block description (ground truth)."""
+    from .laws import eval_term, parse_term
     terms = {key: parse_term(src) for key, src in _GBAR_WORDS.items()}
     params = _GBAR_PARAMS
     inv = tuple({v: p for p, v in enumerate(row)} for row in params)

@@ -7,7 +7,7 @@ influence multiplication; every operation works on indices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
 
 from .errors import ClosureError
@@ -17,32 +17,27 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
-@dataclass(frozen=True)
-class CancellativityReport:
-    left: bool
-    right: bool
+class CancellativityReport(namedtuple(
+        "CancellativityReport", "left right left_witness right_witness",
+        defaults=(None, None))):
     # witness triples (x, a, b): x*a == x*b (left) or a*x == b*x (right), a != b
-    left_witness: tuple[int, int, int] | None = None
-    right_witness: tuple[int, int, int] | None = None
+    __slots__ = ()
 
     @property
     def both(self) -> bool:
         return self.left and self.right
 
 
-@dataclass(frozen=True)
 class FiniteGroupoid:
-    """An order-n magma given by its n x n multiplication table."""
+    """An immutable order-n magma given by its n x n multiplication table."""
 
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("table", "labels")
 
-    def __post_init__(self):
-        table = tuple(tuple(row) for row in self.table)
+    def __init__(self, table, labels=None):
+        table = tuple(tuple(row) for row in table)
         if not table:
             raise ValueError("order must be at least 1")
         n = len(table)
-        labels = self.labels
         if labels is None:
             labels = default_labels(n)
         labels = tuple(str(s) for s in labels)
@@ -65,6 +60,26 @@ class FiniteGroupoid:
                         raise ValueError(f"entry ({i}, {j}) = {v!r} out of range")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return FiniteGroupoid, (self.table, self.labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.table, self.labels) == (other.table, other.labels)
+
+    def __hash__(self):
+        return hash((self.table, self.labels))
+
+    def __repr__(self):
+        return f"FiniteGroupoid(table={self.table!r}, labels={self.labels!r})"
 
     @property
     def order(self) -> int:

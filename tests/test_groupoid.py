@@ -92,6 +92,69 @@ def test_cancellativity_report_witnesses():
     assert ok.both and ok.left_witness is None and ok.right_witness is None
 
 
+# FiniteGroupoid was a frozen dataclass; these pin what callers saw of it.
+
+
+def test_equality_and_hash_cover_table_and_labels():
+    table = ((0, 1), (1, 0))
+    g = FiniteGroupoid(table=table)
+    assert g == FiniteGroupoid(table=[[0, 1], [1, 0]], labels=("e0", "e1"))
+    assert hash(g) == hash(FiniteGroupoid(table, ("e0", "e1")))
+    assert hash(g) == hash((table, ("e0", "e1")))
+    assert g != FiniteGroupoid(table, ("p", "q"))
+    assert g != FiniteGroupoid(((1, 0), (0, 1)))
+    assert g != (table, ("e0", "e1"))
+    assert len({g, FiniteGroupoid(table), FiniteGroupoid(table, "pq")}) == 2
+
+
+def test_repr_names_both_fields():
+    assert repr(FiniteGroupoid(table=((0, 1), (1, 0)))) == (
+        "FiniteGroupoid(table=((0, 1), (1, 0)), labels=('e0', 'e1'))"
+    )
+    assert repr(LEFT_ZERO_3.is_cancellative()) == (
+        "CancellativityReport(left=False, right=True, "
+        "left_witness=(0, 0, 1), right_witness=None)"
+    )
+
+
+def test_assignment_and_deletion_raise():
+    g = FiniteGroupoid(table=((0,),))
+    for attr in ("table", "labels", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, ((0,),))
+        with pytest.raises(AttributeError):
+            delattr(g, attr)
+    assert g.table == ((0,),) and g.labels == ("e0",)
+
+
+def test_keyword_and_positional_construction_agree():
+    table, labels = ((0, 2, 1), (2, 1, 0), (1, 0, 2)), ("a", "b", "c")
+    by_keyword = FiniteGroupoid(table=table, labels=labels)
+    assert by_keyword == FiniteGroupoid(table, labels)
+    assert by_keyword == FiniteGroupoid(labels=labels, table=table)
+    with pytest.raises(ValueError):
+        FiniteGroupoid(table=table, labels=("a", "a", "b"))
+
+
+def test_copies_and_pickles_are_equal_groupoids():
+    import copy
+    import pickle
+
+    g = tower_level(2)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(twin) is FiniteGroupoid and twin == g
+
+
+def test_cancellativity_of_the_near_miss_table():
+    # the transcribed table repeats 12 in its fourth row
+    rep = gbar_table3().is_cancellative()
+    assert (rep.left, rep.right, rep.both) == (False, False, False)
+    assert rep.left_witness == (3, 7, 10)
+    assert rep.right_witness == (10, 3, 8)
+    level = tower_level(2).is_cancellative()
+    assert level.both and (level.left_witness, level.right_witness) == (None, None)
+
+
 def test_restrict_reindexes_and_checks_closure():
     sub = LEFT_ZERO_3.restrict([0, 2])
     assert sub.order == 2

@@ -1,7 +1,13 @@
 """The module import graph: every module imports on its own, so no cycle
-hides behind another module's import, and the package root loads nothing."""
+hides behind another module's import, the package root loads nothing, and
+the CLI runs a module only when a subcommand first uses it."""
+
+import ast
+from pathlib import Path
 
 import pytest
+
+import agband
 
 MODULES = (
     "errors", "groupoid", "laws", "construct", "morphisms", "decompose",
@@ -27,3 +33,64 @@ def test_the_cli_loads_every_module(fresh_python):
     proc = fresh_python("-c", "import agband.cli, sys; print(' '.join(sorted("
                         "m for m in sys.modules if m.startswith('agband.'))))")
     assert proc.stdout.split() == sorted(f"agband.{m}" for m in MODULES)
+
+
+# The CLI registers these in sys.modules and runs each on first use.
+LAZY = {
+    "laws": "get_variety", "morphisms": "canonical_iso",
+    "decompose": "g_copy_partition", "search": "enumerate_models",
+    "verify": "run_claims",
+}
+# `before` leaves out what the interpreter's own start-up imported
+BUILD_G = ("import sys, types; before = set(sys.modules); import agband.cli\n"
+           "agband.cli.run(['build', 'g'])\n")
+
+
+def last_line(proc):
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_build_g_runs_neither_dataclasses_nor_inspect(fresh_python):
+    proc = fresh_python("-c", BUILD_G + "print(sorted({'dataclasses', 'inspect'}"
+                        " & (set(sys.modules) - before)))")
+    assert last_line(proc) == "[]"
+
+
+def test_build_g_leaves_the_lazy_modules_registered_but_not_run(fresh_python):
+    proc = fresh_python("-c", BUILD_G + "print(' '.join("
+                        "m for m in sorted(sys.modules) if m.startswith('agband.')"
+                        " and type(sys.modules[m]) is not types.ModuleType))")
+    assert last_line(proc).split() == sorted(f"agband.{m}" for m in LAZY)
+
+
+@pytest.mark.parametrize("module", LAZY)
+def test_vars_runs_a_lazy_module_as_the_tracer_reads_it(fresh_python, module):
+    proc = fresh_python("-c", BUILD_G + f"m = sys.modules['agband.{module}']\n"
+                        "names = [k for k, v in vars(m).items() if not k.startswith('_')"
+                        " and isinstance(v, (type, types.FunctionType))"
+                        " and v.__module__ == m.__name__]\n"
+                        "print(type(m) is types.ModuleType, *sorted(names))")
+    loaded, *names = last_line(proc).split()
+    source = (Path(agband.__file__).parent / f"{module}.py").read_text("utf-8")
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    assert loaded == "True"
+    assert LAZY[module] in defined and set(names) == defined
+
+
+@pytest.mark.parametrize("cli_first", [False, True])
+@pytest.mark.parametrize("module", LAZY)
+def test_a_lazy_module_is_one_object_whatever_imports_it_first(
+        fresh_python, module, cli_first):
+    name = f"agband.{module}"
+    steps = [f"import {name}; first = sys.modules['{name}']", "import agband.cli"]
+    if cli_first:
+        steps.reverse()
+    proc = fresh_python("-c", "import sys\n" + "\n".join(steps) + "\n"
+                        f"import {name}\n"
+                        f"from {name} import {LAZY[module]} as fn\n"
+                        f"print(first is sys.modules['{name}'] is {name}"
+                        f" is agband.cli.{module}, fn is {name}.{LAZY[module]})")
+    assert last_line(proc) == "True True"
