@@ -10,16 +10,18 @@ delta scanners of ``laws._compile_kernel``; every other instance was
 already checked or is still undecided.  An instance with one side decided
 whose other side lacks only its outermost cell forces that cell to the
 decided value; forced cells are scanned in turn until nothing changes.
-Propagation removes only partial tables that cannot be completed, so the
-walk reaches the same complete tables in the same row-major order.
-Symmetry is broken by a first-row lex constraint during search plus exact
-canonicalization over all relabelings at the leaves for orders up to 8.
+Propagation removes only partial tables that cannot be completed.  Outside
+witness mode, symmetry is broken on complete rows: row 0 must be at most
+each row k as written by every relabeling that sends k to 0, as it is in
+every canonical table, so each class keeps its canonical table.
 
-The walk only yields the completed tables.  One loop after it re-checks
-each against the variety, canonicalizes it, drops repeats and stops at the
-limit.  Orders 9..16 run in witness mode only: a limit is required, found
-tables are re-verified but not canonicalized, so duplicates up to
-isomorphism may appear among the witnesses.
+The walk only yields the completed tables.  One loop after it takes each
+to its canonical form (the lexicographic minimum over all relabelings),
+drops repeats, re-checks the laws on the first table of each class and
+stops at the limit.  Orders 9..16 run in witness mode only: a limit is
+required, found tables are re-verified but neither pruned by the row test
+nor canonicalized, so duplicates up to isomorphism may appear among the
+witnesses.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
@@ -41,7 +44,6 @@ from .laws import (
     parse_identity,
     variables,
 )
-from .morphisms import iso_search
 
 _IDEMPOTENT_KEYS = frozenset(
     alpha_key(parse_identity(s)) for s in ("x = xx", "xx = x")
@@ -77,17 +79,29 @@ class SearchOutcome:
 
 
 @lru_cache(maxsize=None)
-def _relabelings(n: int, fixed: int = 0):
-    """Every relabeling of range(n) that fixes 0..fixed-1, with its
-    inverse, in lexicographic order of the relabelings."""
-    out = []
-    for rest in itertools.permutations(range(fixed, n)):
-        p = tuple(range(fixed)) + rest
-        inv = [0] * n
-        for i, pi in enumerate(p):
-            inv[pi] = i
-        out.append((p, tuple(inv)))
-    return tuple(out)
+def _relabelings(n: int):
+    """Every relabeling of range(n) that fixes 0, with its inverse, in
+    lexicographic order of the relabelings."""
+    fixing = [(0, *rest) for rest in itertools.permutations(range(1, n))]
+    return tuple((p, tuple(map(p.index, range(n)))) for p in fixing)
+
+
+@lru_cache(maxsize=None)
+def _gathers(n: int):
+    """For every relabeling p of range(n): p as a ``bytes.translate``
+    table, and the gathers that read, from the row-major cells of a table,
+    the first row and all cells of the table relabeled by p."""
+    rows = [tuple(range(a * n, (a + 1) * n)) for a in range(n)]
+    values, firsts, cells = [], [], []
+    for p in itertools.permutations(range(n)):
+        inv = tuple(map(p.index, range(n)))
+        cols = itemgetter(*inv)  # cell (r, c) reads cell (inv r, inv c)
+        values.append(bytes(p).ljust(256, b"\0"))
+        firsts.append(itemgetter(*cols(rows[inv[0]])))
+        cells.append(itemgetter(*itertools.chain.from_iterable(
+            cols(rows[a]) for a in inv
+        )))
+    return tuple(values), tuple(firsts), tuple(cells)
 
 
 def canonical_table(
@@ -100,39 +114,41 @@ def canonical_table(
             f"canonicalization sweeps all {n}! relabelings; supported up to "
             f"order {_CANONICAL_LIMIT}"
         )
-    best = None
-    for p, inv in _relabelings(n):
-        # build the relabeled table row by row; while it ties with the
-        # best so far, a greater row rules it out and a smaller one wins
-        cand = []
-        tie = best is not None
-        for r in range(n):
-            src = table[inv[r]]
-            row = tuple([p[src[c]] for c in inv])
-            if tie:
-                if row > best[r]:
-                    break
-                tie = row == best[r]
-            cand.append(row)
-        else:
-            if not tie:
-                best = cand
-    return tuple(best)
+    if n == 1:  # a gather of one index returns the cell, not a tuple
+        return tuple(map(tuple, table))
+    # one translate and one gather per relabeling, all in C: rows compare
+    # in order, so only the relabelings with the least first row can win,
+    # and only those are gathered in full and compared row-major
+    values, firsts, cells = _gathers(n)
+    flat = bytes(itertools.chain.from_iterable(table))
+    moved = list(map(flat.translate, values))
+    heads = list(map(itemgetter.__call__, firsts, moved))
+    keep = list(map(min(heads).__eq__, heads))
+    best = min(map(itemgetter.__call__, itertools.compress(cells, keep),
+                   itertools.compress(moved, keep)))
+    return tuple(best[r:r + n] for r in range(0, n * n, n))
 
 
 # ---------------------------------------------------------------------------
-# first-row symmetry breaking
+# row symmetry breaking
 #
-# The canonical table's first row is lex-minimal among all relabelings that
-# fix element 0 (any relabeling lowering row 0 would lower the whole table,
-# rows compare in order).  Pruning first rows that fail this test therefore
-# never discards a canonical representative.
+# The canonical table C is at most C relabeled by any p, and rows compare
+# in order, so row 0 of C is at most row 0 of C relabeled by p: when
+# p(k) = 0, row k of C written by p.  So pruning a table whose row 0
+# exceeds such a rewrite of a complete row never discards a canonical
+# table, whatever the variety.
 
 
-def _row0_minimal(row0: tuple[int, ...], n: int) -> bool:
-    for sigma, inv in _relabelings(n, 1):
-        for j in range(1, n):
-            v = sigma[row0[inv[j]]]
+def _row_minimal(row0: tuple[int, ...], k: int, row: tuple[int, ...]) -> bool:
+    """Whether row 0 is at most row k (``row``) as written by every
+    relabeling that sends k to 0."""
+    n = len(row)
+    swap = list(range(n))  # the relabeling that exchanges 0 and k
+    swap[0], swap[k] = k, 0
+    moved = [swap[row[x]] for x in swap]
+    for sigma, inv in _relabelings(n):
+        for j in range(n):
+            v = sigma[moved[inv[j]]]
             cur = row0[j]
             if v < cur:
                 return False
@@ -191,7 +207,7 @@ def enumerate_models(
     nodes = 0
     failures = 0
     models: dict[tuple[tuple[int, ...], ...], FiniteGroupoid] = {}
-    row0_memo: dict[tuple[int, ...], bool] = {}
+    row_memo: dict[tuple, bool] = {}
 
     def assign(queue: list[tuple[int, int, int]]) -> bool:
         # decide each (row, column, value) on the queue, and the cells the
@@ -239,19 +255,27 @@ def enumerate_models(
                     return False
             if not assign(forced):
                 return False
-        if not witness_mode and None not in table[0]:
-            key = tuple(table[0])
-            ok = row0_memo.get(key)
-            if ok is None:
-                ok = row0_memo[key] = _row0_minimal(key, n)
-            if not ok:
-                return False
-        return True
+        return witness_mode or None in table[0] or row_minimal(0)
+
+    def row_minimal(k: int) -> bool:
+        key = (tuple(table[0]), k, tuple(table[k]))
+        ok = row_memo.get(key)
+        if ok is None:
+            ok = row_memo[key] = _row_minimal(*key)
+        return ok
 
     def completions(pos: int):
         nonlocal nodes, failures
+        first = pos
         while pos < n * n and table[pos // n][pos % n] is not None:
             pos += 1
+        # row 0 is tested in ``consistent``, where a failed test counts as
+        # a failure; each later row once the walk has passed it, and the
+        # caller has tested those above its own row
+        if not witness_mode and not all(
+            map(row_minimal, range(max(1, (first - 1) // n), pos // n))
+        ):
+            return
         if pos == n * n:
             yield tuple(tuple(row) for row in table)
             return
@@ -277,22 +301,28 @@ def enumerate_models(
         if isinstance(ident.lhs, Var) and isinstance(ident.rhs, Var)
     )) and assign(pins)
 
+    # the laws hold in all of a class or in none of it, so the first leaf
+    # that fails is the first of its class, and checking one table per
+    # class still stops at that leaf
     for tab in completions(0) if feasible and consistent(0) else ():
-        report = check_variety(FiniteGroupoid(tab), v)
+        if not witness_mode:
+            tab = canonical_table(tab)
+        if tab in models:
+            continue
+        g = models[tab] = FiniteGroupoid(tab)
+        report = check_variety(g, v)
         if not report.holds:
             raise SearchInvariantError(
                 f"search leaf fails '{report.first_failure.identity}'; "
                 "propagation is unsound"
             )
-        if not witness_mode:
-            tab = canonical_table(tab)
-        if tab not in models:
-            models[tab] = FiniteGroupoid(tab)
         if len(models) == limit:
             break
 
     found = tuple(models[tab] for tab in sorted(models))
     if not witness_mode and len(found) <= 10:
+        from .morphisms import iso_search  # here, so larger searches skip it
+
         for a, b in itertools.combinations(found, 2):
             if iso_search(a, b) is not None:
                 raise SearchInvariantError(

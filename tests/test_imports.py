@@ -94,3 +94,15 @@ def test_a_lazy_module_is_one_object_whatever_imports_it_first(
                         f"print(first is sys.modules['{name}'] is {name}"
                         f" is agband.cli.{module}, fn is {name}.{LAZY[module]})")
     assert last_line(proc) == "True True"
+
+
+def test_models_with_more_than_ten_classes_leaves_morphisms_unrun(
+        fresh_python):
+    # the search runs morphisms only for its dedup self-check, which takes
+    # at most 10 classes; band order 5 has 18
+    proc = fresh_python("-c", "import sys, types; import agband.cli\n"
+                        "agband.cli.run(['models', '--variety', 'band', "
+                        "'--order', '5'])\n"
+                        "m = sys.modules['agband.morphisms']\n"
+                        "print(type(m) is types.ModuleType)")
+    assert last_line(proc) == "False"

@@ -168,6 +168,7 @@ def _symmetric_tables(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_canonical_table_is_the_minimum_over_all_relabelings(n):
+    # n = 1 has one relabeling, whose gather of one cell is not a tuple
     rng = random.Random(n)
     tables = list(_symmetric_tables(n)) + [
         tuple(tuple(rng.choice(values) for _ in range(n)) for _ in range(n))
@@ -200,16 +201,16 @@ def test_single_order_four_model_up_to_isomorphism():
 # (order, classes, nodes, propagation failures); a lost or a wrong prune
 # or force changes the nodes or the failures
 SEARCH_COUNTS = {
-    "ag": [(1, 1, 1, 0), (2, 3, 18, 4), (3, 20, 471, 234),
-           (4, 331, 22104, 13280)],
-    "band": [(1, 1, 0, 0), (2, 1, 2, 0), (3, 2, 27, 12), (4, 6, 292, 179),
-             (5, 18, 4300, 3049)],
+    "ag": [(1, 1, 1, 0), (2, 3, 18, 4), (3, 20, 327, 161),
+           (4, 331, 13248, 7891)],
+    "band": [(1, 1, 0, 0), (2, 1, 2, 0), (3, 2, 27, 12), (4, 6, 264, 159),
+             (5, 18, 3605, 2535)],
     "aragb": [(1, 1, 0, 0), (2, 0, 0, 0), (3, 0, 2, 1), (4, 1, 5, 2),
               (5, 0, 14, 5), (6, 0, 53, 23), (7, 0, 162, 90),
               (8, 0, 603, 273)],
     "evans": [(1, 1, 1, 0), (2, 0, 8, 5), (3, 0, 39, 27),
-              (4, 1, 272, 202)],
-    "medial": [(1, 1, 1, 0), (2, 7, 26, 4), (3, 75, 1134, 494)],
+              (4, 1, 236, 175)],
+    "medial": [(1, 1, 1, 0), (2, 7, 26, 4), (3, 75, 771, 344)],
 }
 
 
@@ -226,8 +227,9 @@ def test_search_counts_are_pinned(name, order, count, nodes, failures):
 
 @pytest.mark.parametrize("name", ["ag", "band"])
 def test_propagation_loses_no_leaf_and_reorders_none(name, monkeypatch):
-    # the walk yields every model whose first row is minimal, in row-major
-    # lexicographic order, exactly as a sweep over all 3**9 tables does
+    # the walk yields every model whose rows all pass the symmetry break,
+    # in row-major lexicographic order, exactly as a sweep over all 3**9
+    # tables does
     v = get_variety(name)
     n = 3
     instances = [
@@ -238,7 +240,9 @@ def test_propagation_loses_no_leaf_and_reorders_none(name, monkeypatch):
     swept = []
     for cells in itertools.product(range(n), repeat=n * n):
         table = tuple(cells[r * n:(r + 1) * n] for r in range(n))
-        if search._row0_minimal(table[0], n) and all(
+        if all(
+            search._row_minimal(table[0], k, row) for k, row in enumerate(table)
+        ) and all(
             eval_term(ident.lhs, table, env) == eval_term(ident.rhs, table, env)
             for ident, env in instances
         ):
@@ -251,6 +255,39 @@ def test_propagation_loses_no_leaf_and_reorders_none(name, monkeypatch):
     )
     enumerate_models(n, v)
     assert walked == swept
+
+
+@pytest.mark.parametrize("name, order", [
+    (name, k) for name, top in (("ag", 3), ("band", 4), ("medial", 3),
+                                ("evans", 3))
+    for k in range(1, top + 1)
+])
+def test_every_canonical_model_is_a_leaf_of_the_walk(name, order, monkeypatch):
+    # the symmetry break keeps each class's canonical table itself, also
+    # where the diagonal is not pinned (medial, evans)
+    leaves = set()
+    canonical = search.canonical_table
+    monkeypatch.setattr(
+        search, "canonical_table",
+        lambda table: leaves.add(table) or canonical(table),
+    )
+    out = enumerate_models(order, get_variety(name))
+    assert {m.table for m in out.canonical_models} <= leaves
+
+
+@pytest.mark.parametrize("name, order, classes", [("ag", 4, 331),
+                                                  ("band", 5, 18)])
+def test_the_laws_are_checked_once_per_class(name, order, classes,
+                                             monkeypatch):
+    checked = []
+    check = search.check_variety
+    monkeypatch.setattr(
+        search, "check_variety",
+        lambda g, v: checked.append(g.table) or check(g, v),
+    )
+    out = enumerate_models(order, get_variety(name))
+    assert len(checked) == out.count == classes
+    assert set(checked) == {m.table for m in out.canonical_models}
 
 
 @given(_terms("xyz", 4), _terms("xyz", 4), st.integers(1, 3))
@@ -430,4 +467,4 @@ def test_a_limit_in_full_mode_stops_the_walk_early():
     assert {m.table for m in out.canonical_models} <= {
         m.table for m in full.canonical_models
     }
-    assert (full.count, full.stats.nodes, out.stats.nodes) == (75, 1134, 10)
+    assert (full.count, full.stats.nodes, out.stats.nodes) == (75, 771, 10)
