@@ -117,13 +117,12 @@ def _cmd_check(args) -> int:
         print(f"{spec.name} on order {g.order}: "
               + ("holds" if report.holds else "fails"))
     else:
-        from dataclasses import asdict
         _print_json({
             "variety": spec.name,
             "order": g.order,
             "holds": report.holds,
             "identities": [
-                {**asdict(r), "identity": str(r.identity)}
+                {**r._asdict(), "identity": str(r.identity)}
                 for r in report.reports
             ],
         })
@@ -257,14 +256,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_models(args) -> int:
-    from dataclasses import asdict
     v = laws.get_variety(args.variety)
     out = search.enumerate_models(args.order, v, args.limit)
     summary = {
         "order": out.order,
         "variety": out.variety,
         "count": out.count,
-        "stats": asdict(out.stats),
+        "stats": out.stats._asdict(),
     }
     if args.emit:
         os.makedirs(args.emit, exist_ok=True)
@@ -275,15 +273,21 @@ def _cmd_models(args) -> int:
                 fh.write(to_json(g) + "\n")
             paths.append(path)
         summary["models"] = paths
-    else:
-        summary["models"] = [to_doc(g) for g in out.canonical_models]
     if args.format == "text":
         print(f"{out.variety} order {out.order}: {out.count} classes "
               f"({out.stats.nodes} nodes, {out.stats.seconds:.3f}s)")
         for g in out.canonical_models:
             print(render_text(g))
-    else:
+    elif args.emit:
         _print_json(summary)
+    else:
+        # _print_json with the models as a last key, byte for byte: each
+        # model is to_json one level deeper, so that json's pure-Python
+        # indenting encoder never walks a table
+        models = ",\n    ".join(to_json(g).replace("\n", "\n    ")
+                                for g in out.canonical_models)
+        print(json.dumps(summary, indent=2)[:-2] + ',\n  "models": '
+              + ("[\n    " + models + "\n  ]" if models else "[]") + "\n}")
     return 0
 
 
@@ -339,10 +343,9 @@ def _cmd_verify_paper(args) -> int:
             print(f"{r.status:<7} {r.claim:<15} [{r.reference}] {r.detail}")
         print(f"overall: {report.overall}")
     else:
-        from dataclasses import asdict
         _print_json({
             "overall": report.overall,
-            "results": [asdict(r) for r in report.results],
+            "results": [r._asdict() for r in report.results],
         })
     return 0 if report.overall == "PASS" else 1
 
@@ -360,8 +363,37 @@ class _FormatBeforeMode(argparse.Action):
                      f"'{parser.prog} <mode> ... --format {values}'")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Unparsed(Exception):
+    """A narrow parser met an argv it does not take."""
+
+
+class _NarrowParser(argparse.ArgumentParser):
+    """A parser built for one subcommand.  Where it would print an error it
+    raises _Unparsed instead, and ``run`` parses again with the full
+    parser, so every usage and error text is the full parser's."""
+
+    def error(self, message):
+        raise _Unparsed
+
+
+_COMMANDS = (
+    "build", "check", "iso", "classify-bijections", "canonical-iso",
+    "decompose", "spectrum", "models", "diff", "limit-product", "verify-paper",
+)
+
+
+def _only(argv, depth: int, names: tuple[str, ...]) -> tuple[str, ...]:
+    """Of ``names``, the one ``argv[depth]`` is, or all of them."""
+    if argv is not None and argv[depth:depth + 1] and argv[depth] in names:
+        return (argv[depth],)
+    return names
+
+
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The full parser; given ``argv``, a _NarrowParser that builds only
+    the subcommand ``argv`` names and, in the build and decompose groups,
+    only the mode it names, so that one call builds one subparser."""
+    parser = (argparse.ArgumentParser if argv is None else _NarrowParser)(
         prog="agband",
         description=(
             "Build, check and dissect the order-quadrupling family of "
@@ -369,6 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    want = _only(argv, 0, _COMMANDS)
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
@@ -376,115 +409,146 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output rendering (default json)",
     )
 
-    p = sub.add_parser("build", help="emit a built-in table")
-    p.add_argument("--format", action=_FormatBeforeMode, help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_build)
-    bsub = p.add_subparsers(dest="what", required=True)
-    bsub.add_parser("g", parents=[fmt], help="the order-4 model")
-    b = bsub.add_parser("gn", parents=[fmt], help="tower level n (order 4^n)")
-    b.add_argument("--n", type=int, required=True)
-    b = bsub.add_parser("gbar", parents=[fmt], help="the order-16 counterexample")
-    b.add_argument(
-        "--from-table3", action="store_true", dest="from_table3",
-        help="use the transcribed fixture instead of the derived table",
-    )
-    b = bsub.add_parser("j", parents=[fmt], help="the inner self-copy J_n")
-    b.add_argument("--n", type=int, required=True)
+    if "build" in want:
+        p = sub.add_parser("build", help="emit a built-in table")
+        p.add_argument("--format", action=_FormatBeforeMode, help=argparse.SUPPRESS)
+        p.set_defaults(func=_cmd_build)
+        bsub = p.add_subparsers(dest="what", required=True)
+        modes = _only(argv, 1, ("g", "gn", "gbar", "j"))
+        if "g" in modes:
+            bsub.add_parser("g", parents=[fmt], help="the order-4 model")
+        if "gn" in modes:
+            b = bsub.add_parser("gn", parents=[fmt], help="tower level n (order 4^n)")
+            b.add_argument("--n", type=int, required=True)
+        if "gbar" in modes:
+            b = bsub.add_parser("gbar", parents=[fmt], help="the order-16 counterexample")
+            b.add_argument(
+                "--from-table3", action="store_true", dest="from_table3",
+                help="use the transcribed fixture instead of the derived table",
+            )
+        if "j" in modes:
+            b = bsub.add_parser("j", parents=[fmt], help="the inner self-copy J_n")
+            b.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("check", parents=[fmt], help="check identities on a table")
-    p.add_argument("input", nargs="?", default="-", help="Cayley JSON file or -")
-    # no default, so that an explicit --variety always conflicts with --law
-    choice = p.add_mutually_exclusive_group()
-    choice.add_argument("--variety", help="preset name (default aragb)")
-    choice.add_argument(
-        "--law", action="append", default=[],
-        help="inline identity, e.g. '(xy)z = (zy)x' (repeatable)",
-    )
-    p.set_defaults(func=_cmd_check)
+    if "check" in want:
+        p = sub.add_parser("check", parents=[fmt], help="check identities on a table")
+        p.add_argument("input", nargs="?", default="-", help="Cayley JSON file or -")
+        # no default, so that an explicit --variety always conflicts with --law
+        choice = p.add_mutually_exclusive_group()
+        choice.add_argument("--variety", help="preset name (default aragb)")
+        choice.add_argument(
+            "--law", action="append", default=[],
+            help="inline identity, e.g. '(xy)z = (zy)x' (repeatable)",
+        )
+        p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("iso", parents=[fmt], help="find an (anti)isomorphism")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--anti", action="store_true")
-    p.set_defaults(func=_cmd_iso)
+    if "iso" in want:
+        p = sub.add_parser("iso", parents=[fmt], help="find an (anti)isomorphism")
+        p.add_argument("source")
+        p.add_argument("target")
+        p.add_argument("--anti", action="store_true")
+        p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser(
-        "classify-bijections", parents=[fmt],
-        help="classify every self-bijection",
-    )
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_classify_bijections)
+    if "classify-bijections" in want:
+        p = sub.add_parser(
+            "classify-bijections", parents=[fmt],
+            help="classify every self-bijection",
+        )
+        p.add_argument("input")
+        p.set_defaults(func=_cmd_classify_bijections)
 
-    p = sub.add_parser(
-        "canonical-iso", parents=[fmt],
-        help="stagewise isomorphism onto the tower level of equal order",
-    )
-    p.add_argument("input")
-    p.add_argument(
-        "--enumeration", default=None,
-        help="comma-separated element order, e.g. 3,1,2,0",
-    )
-    p.set_defaults(func=_cmd_canonical_iso)
+    if "canonical-iso" in want:
+        p = sub.add_parser(
+            "canonical-iso", parents=[fmt],
+            help="stagewise isomorphism onto the tower level of equal order",
+        )
+        p.add_argument("input")
+        p.add_argument(
+            "--enumeration", default=None,
+            help="comma-separated element order, e.g. 3,1,2,0",
+        )
+        p.set_defaults(func=_cmd_canonical_iso)
 
-    p = sub.add_parser("decompose", help="band decompositions")
-    p.add_argument("--format", action=_FormatBeforeMode, help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_decompose)
-    dsub = p.add_subparsers(dest="mode", required=True)
-    d = dsub.add_parser("blocks", parents=[fmt], help="check a partition")
-    d.add_argument("input")
-    d.add_argument("--partition", required=True, help="JSON list of blocks")
-    d = dsub.add_parser("gcopies", parents=[fmt], help="split into order-4 copies")
-    d.add_argument("input")
-    d = dsub.add_parser("extension", parents=[fmt], help="quarters of level n")
-    d.add_argument("--n", type=int, required=True)
+    if "decompose" in want:
+        p = sub.add_parser("decompose", help="band decompositions")
+        p.add_argument("--format", action=_FormatBeforeMode, help=argparse.SUPPRESS)
+        p.set_defaults(func=_cmd_decompose)
+        dsub = p.add_subparsers(dest="mode", required=True)
+        modes = _only(argv, 1, ("blocks", "gcopies", "extension"))
+        if "blocks" in modes:
+            d = dsub.add_parser("blocks", parents=[fmt], help="check a partition")
+            d.add_argument("input")
+            d.add_argument("--partition", required=True, help="JSON list of blocks")
+        if "gcopies" in modes:
+            d = dsub.add_parser("gcopies", parents=[fmt], help="split into order-4 copies")
+            d.add_argument("input")
+        if "extension" in modes:
+            d = dsub.add_parser("extension", parents=[fmt], help="quarters of level n")
+            d.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("spectrum", parents=[fmt], help="model counts by order")
-    p.add_argument("--variety", default="aragb")
-    p.add_argument("--max-order", type=int, required=True, dest="max_order")
-    p.add_argument(
-        "--oracle", action="store_true",
-        help="cross-check counts against the oracle where it applies",
-    )
-    p.set_defaults(func=_cmd_spectrum)
+    if "spectrum" in want:
+        p = sub.add_parser("spectrum", parents=[fmt], help="model counts by order")
+        p.add_argument("--variety", default="aragb")
+        p.add_argument("--max-order", type=int, required=True, dest="max_order")
+        p.add_argument(
+            "--oracle", action="store_true",
+            help="cross-check counts against the oracle where it applies",
+        )
+        p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("models", parents=[fmt], help="enumerate models")
-    p.add_argument("--variety", default="aragb")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--emit", default=None, help="directory for model files")
-    p.set_defaults(func=_cmd_models)
+    if "models" in want:
+        p = sub.add_parser("models", parents=[fmt], help="enumerate models")
+        p.add_argument("--variety", default="aragb")
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("--limit", type=int, default=None)
+        p.add_argument("--emit", default=None, help="directory for model files")
+        p.set_defaults(func=_cmd_models)
 
-    p = sub.add_parser("diff", parents=[fmt], help="cell-by-cell table diff")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_diff)
+    if "diff" in want:
+        p = sub.add_parser("diff", parents=[fmt], help="cell-by-cell table diff")
+        p.add_argument("left")
+        p.add_argument("right")
+        p.set_defaults(func=_cmd_diff)
 
-    p = sub.add_parser(
-        "limit-product", parents=[fmt],
-        help="product of two indices in the union of all levels",
-    )
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-    p.set_defaults(func=_cmd_limit_product)
+    if "limit-product" in want:
+        p = sub.add_parser(
+            "limit-product", parents=[fmt],
+            help="product of two indices in the union of all levels",
+        )
+        p.add_argument("i", type=int)
+        p.add_argument("j", type=int)
+        p.set_defaults(func=_cmd_limit_product)
 
-    p = sub.add_parser(
-        "verify-paper", parents=[fmt],
-        help="replay the numbered claims as a checklist",
-    )
-    p.add_argument(
-        "--only", action="append", default=[],
-        help="claim id (repeatable or comma-separated)",
-    )
-    p.set_defaults(func=_cmd_verify_paper)
+    if "verify-paper" in want:
+        p = sub.add_parser(
+            "verify-paper", parents=[fmt],
+            help="replay the numbered claims as a checklist",
+        )
+        p.add_argument(
+            "--only", action="append", default=[],
+            help="claim id (repeatable or comma-separated)",
+        )
+        p.set_defaults(func=_cmd_verify_paper)
 
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` parsed by the parser of its subcommand alone, or by the
+    full parser when it names none or that parser refuses it."""
+    if argv[:1] and argv[0] in _COMMANDS:
+        try:
+            return _build_parser(argv).parse_args(argv)
+        except _Unparsed:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -10,7 +10,7 @@ copies intersect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .construct import standard_g, tower_level
 from .errors import ResourceLimitError, SearchInvariantError
@@ -19,17 +19,16 @@ from .laws import require_aragb
 from .morphisms import canonical_iso, iso_search
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "blocks")):
     """Disjoint nonempty blocks covering 0..n-1.  Block order is meaningful:
     ordinals double as quotient element indices."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(type(e) is not int for block in self.blocks for e in block):
+    def __new__(cls, blocks):
+        if any(type(e) is not int for block in blocks for e in block):
             raise ValueError("block elements must be integers")
-        blocks = tuple(tuple(sorted(block)) for block in self.blocks)
+        blocks = tuple(tuple(sorted(block)) for block in blocks)
         if not blocks or any(not block for block in blocks):
             raise ValueError("blocks must be nonempty")
         seen: dict[int, int] = {}
@@ -43,7 +42,7 @@ class Partition:
         n = len(seen)
         if sorted(seen) != list(range(n)):
             raise ValueError("blocks must cover 0..n-1 exactly")
-        object.__setattr__(self, "blocks", blocks)
+        return super().__new__(cls, blocks)
 
     @property
     def order(self) -> int:
@@ -57,22 +56,16 @@ class Partition:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionWitness:
+class DecompositionWitness(namedtuple("DecompositionWitness", "u v u2 v2")):
     """Two products out of the same block pair that land in different
     blocks: u, u2 share a block, v, v2 share a block, but block(u*v) differs
     from block(u2*v2)."""
 
-    u: int
-    v: int
-    u2: int
-    v2: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BandDecomposition:
-    partition: Partition
-    quotient: FiniteGroupoid
+class BandDecomposition(namedtuple("BandDecomposition", "partition quotient")):
+    __slots__ = ()
 
 
 def check_band_decomposition(g: FiniteGroupoid, p: Partition):
@@ -161,18 +154,18 @@ def g_copy_partition(g: FiniteGroupoid) -> Partition:
     return Partition(tuple(tuple(block) for block in blocks))
 
 
-@dataclass(frozen=True)
-class IntersectionAudit:
+class IntersectionAudit(namedtuple(
+        "IntersectionAudit", "distinct_copies nonstandard_pairs distribution")):
     """How the two-generated order-4 copies inside a band overlap.
 
     One copy per unordered generator pair {c, d}; distinct pairs can
     generate the same carrier, and such coincidences show up as
-    intersection size 4.
+    intersection size 4.  ``nonstandard_pairs`` counts the pairs whose span
+    is not a 4-element G copy; ``distribution`` maps an intersection size
+    to its number of pairs.
     """
 
-    distinct_copies: int
-    nonstandard_pairs: int  # pairs whose span is not a 4-element G copy
-    distribution: dict[int, int]  # intersection size -> number of pairs
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -20,7 +20,7 @@ those instances force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import ParseError, VarietyError
@@ -30,24 +30,19 @@ from .errors import ParseError, VarietyError
 # terms and identities
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(namedtuple("Var", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: "Term"
-    right: "Term"
+class Prod(namedtuple("Prod", "left right")):  # two Terms
+    __slots__ = ()
 
 
 Term = Var | Prod
 
 
-@dataclass(frozen=True)
-class Identity:
-    lhs: Term
-    rhs: Term
+class Identity(namedtuple("Identity", "lhs rhs")):  # two Terms
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{pretty(self.lhs)} = {pretty(self.rhs)}"
@@ -195,12 +190,11 @@ def eval_term(term: Term, table, env: dict[str, int]) -> int | None:
     return None if right is None else table[left][right]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: Identity
-    holds: bool
-    counterexample: dict[str, int] | None
-    assignments: int  # assignments swept, counting the failing one
+class IdentityReport(namedtuple(
+        "IdentityReport", "identity holds counterexample assignments")):
+    # counterexample: {variable: element} or None; assignments: those
+    # swept, counting the failing one
+    __slots__ = ()
 
 
 # CPython compiles at most 20 statically nested blocks, and each loop of a
@@ -449,17 +443,12 @@ def check_identity(g, identity: Identity, _lines=None) -> IdentityReport:
 # varieties
 
 
-@dataclass(frozen=True)
-class VarietySpec:
-    name: str
-    identities: tuple[Identity, ...]
+class VarietySpec(namedtuple("VarietySpec", "name identities")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VarietyReport:
-    variety: str
-    holds: bool
-    reports: tuple[IdentityReport, ...]
+class VarietyReport(namedtuple("VarietyReport", "variety holds reports")):
+    __slots__ = ()
 
     @property
     def first_failure(self) -> IdentityReport | None:

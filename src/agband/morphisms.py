@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from operator import eq
 
 from .construct import adjoined_generator_index, tower_level
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
-from .laws import require_aragb
 
 
 class MapKind(str, Enum):
@@ -24,10 +24,9 @@ class MapKind(str, Enum):
     NEITHER = "NEITHER"
 
 
-@dataclass(frozen=True)
-class Mapping:
-    images: tuple[int, ...]
-    kind: MapKind
+class Mapping(namedtuple("Mapping", "images kind")):
+    # images: tuple[int, ...]; kind: MapKind
+    __slots__ = ()
 
 
 def _is_hom(images, s_table, d_table, n, anti: bool) -> bool:
@@ -90,12 +89,10 @@ def cycle_type(perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-@dataclass(frozen=True)
-class BijectionCensus:
-    order: int
-    total: int
-    counts: dict[MapKind, int]
-    by_cycle_type: dict[tuple[MapKind, tuple[int, ...]], int]
+class BijectionCensus(namedtuple(
+        "BijectionCensus", "order total counts by_cycle_type")):
+    # counts: {MapKind: int}; by_cycle_type: {(MapKind, cycle type): int}
+    __slots__ = ()
 
 
 _CENSUS_LIMIT = 8
@@ -123,17 +120,18 @@ def classify_all_bijections(g: FiniteGroupoid) -> BijectionCensus:
 # backtracking isomorphism search
 
 
-def _invariant_vectors(g: FiniteGroupoid) -> list[tuple[int, int]]:
-    """Per-element (row fixed points, column fixed points); preserved by
-    isomorphism."""
-    n = g.order
+def _invariant_vectors(g: FiniteGroupoid) -> list[tuple[int, int, int]]:
+    """Per element x, the number of y with xy = y, with yx = y and with
+    (xy)x = y; an isomorphism f keeps each, since f(x)f(y) = f(xy).  Each
+    count is one C-level pass over x's row, its column, or its column
+    gathered by its row."""
     t = g.table
-    out = []
-    for i in range(n):
-        rf = sum(1 for j in range(n) if t[i][j] == j)
-        cf = sum(1 for j in range(n) if t[j][i] == j)
-        out.append((rf, cf))
-    return out
+    ys = range(g.order)
+    return [
+        (sum(map(eq, row, ys)), sum(map(eq, col, ys)),
+         sum(map(eq, map(col.__getitem__, row), ys)))
+        for row, col in zip(t, zip(*t))
+    ]
 
 
 def _search_hom_bijection(ts, td, candidates, n):
@@ -199,9 +197,10 @@ def iso_search(src: FiniteGroupoid, dst: FiniteGroupoid) -> Mapping | None:
     inv_d = _invariant_vectors(dst)
     if sorted(inv_s) != sorted(inv_d):
         return None
-    candidates = [
-        frozenset(p for p in range(n) if inv_d[p] == inv_s[u]) for u in range(n)
-    ]
+    groups: dict[tuple[int, int, int], set[int]] = {}
+    for p, vector in enumerate(inv_d):
+        groups.setdefault(vector, set()).add(p)
+    candidates = [groups[vector] for vector in inv_s]
     images = _search_hom_bijection(src.table, dst.table, candidates, n)
     if images is None:
         return None
@@ -241,6 +240,7 @@ def anti_to_iso(phi: Mapping, src: FiniteGroupoid, dst: FiniteGroupoid) -> Mappi
         forth = _staged_iso(src)
     except (ValueError, SearchInvariantError):
         # refused: a source outside the variety is named by its law sweep
+        from .laws import require_aragb  # here, so only a refusal runs laws
         require_aragb(src, "source")
         raise
     back = [0] * src.order
@@ -294,6 +294,7 @@ def canonical_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     try:
         return _staged_iso(k, enumeration)
     except SearchInvariantError:
+        from .laws import require_aragb
         require_aragb(k, "input")
         raise
 

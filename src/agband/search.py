@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
@@ -58,20 +58,16 @@ _PLAIN_FULL_LIMIT = 6
 _WITNESS_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    nodes: int  # branching assignments attempted
-    propagation_failures: int  # assignments undone by a detected conflict
-    seconds: float
+class SearchStats(namedtuple(
+        "SearchStats", "nodes propagation_failures seconds")):
+    # nodes: branching assignments attempted; propagation_failures:
+    # assignments undone by a detected conflict
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    order: int
-    variety: str
-    canonical_models: tuple[FiniteGroupoid, ...]
-    count: int
-    stats: SearchStats
+class SearchOutcome(namedtuple(
+        "SearchOutcome", "order variety canonical_models count stats")):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .construct import (
     adjoined_generator_index,
@@ -60,17 +60,12 @@ _SEED = 731
 _ARAGB = get_variety("aragb")
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim: str
-    reference: str
-    status: str
-    detail: str
+class ClaimResult(namedtuple("ClaimResult", "claim reference status detail")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    results: tuple[ClaimResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "results")):
+    __slots__ = ()
 
     @property
     def overall(self) -> str:

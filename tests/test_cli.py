@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import agband
+from agband import cli
 from agband.cli import run
 from agband.construct import standard_g, tower_level
 from agband.groupoid import to_json
@@ -359,6 +361,21 @@ def test_built_tables_are_printed_as_indented_json(argv, capsys):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--variety", "ag", "--order", "3"],
+    ["--variety", "band", "--order", "4", "--limit", "1"],
+    ["--variety", "aragb", "--order", "2"],
+    ["--variety", "aragb", "--order", "4"],
+], ids=" ".join)
+def test_models_are_printed_as_indented_json(argv, capsys):
+    assert run(["models", *argv]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert list(doc) == ["order", "variety", "count", "stats", "models"]
+    assert len(doc["models"]) == doc["count"]
+
+
 def test_models_witness_mode_requires_limit(capsys):
     assert run(["models", "--variety", "aragb", "--order", "12"]) == 2
     assert "limit" in capsys.readouterr().err
@@ -474,3 +491,100 @@ def test_check_rejects_non_integer_json_as_usage_error(capsys, tmp_path, doc):
     path.write_text(json.dumps(doc))
     assert run(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# the one-subparser parse: each call builds the parser of its subcommand
+# alone, and hands the full parser any argv that one refuses
+
+
+def parse_outcome(parse, argv, capsys):
+    """(exit code or None, stdout, stderr) of ``parse(argv)``."""
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def full_parse(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+def test_the_commands_are_the_full_parsers_subcommands():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == cli._COMMANDS
+
+
+HELPS = ([["--help"]] + [[name, "--help"] for name in cli._COMMANDS]
+         + [["build", mode, "--help"] for mode in ("g", "gn", "gbar", "j")]
+         + [["decompose", mode, "--help"]
+            for mode in ("blocks", "gcopies", "extension")])
+
+
+@pytest.mark.parametrize("argv", HELPS, ids=" ".join)
+def test_every_help_text_is_the_full_parsers(argv, capsys):
+    want = parse_outcome(full_parse, argv, capsys)
+    assert want[0] == 0 and want[1].startswith("usage: agband")
+    assert (run(argv), *capsys.readouterr()) == want
+    if argv[0] in cli._COMMANDS:
+        # printed by the narrow parser itself, not by a fallback
+        narrow = parse_outcome(lambda a: cli._build_parser(a).parse_args(a),
+                               argv, capsys)
+        assert narrow == want
+
+
+ERRORS = [
+    [],
+    ["frobnicate"],
+    ["iso", "a.json"],
+    ["check", "--format", "xml"],
+    ["iso", "a.json", "b.json", "c.json"],
+    ["build"],
+    ["build", "gn"],
+    ["build", "--format", "text", "g"],
+    ["decompose", "nonsense"],
+    ["decompose", "blocks", "g.json"],
+    ["limit-product", "one", "2"],
+    ["check", "--variety", "ag", "--law", "x = xx"],
+    ["models", "--order", "4", "--limi", "1", "--limit", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", ERRORS, ids=" ".join)
+def test_every_usage_error_is_the_full_parsers(argv, capsys):
+    want = parse_outcome(full_parse, argv, capsys)
+    assert want[0] == 2 and want[1] == "" and "error: " in want[2]
+    assert (run(argv), *capsys.readouterr()) == want
+    if argv[:1] and argv[0] in cli._COMMANDS:
+        # the narrow parser prints nothing of its own
+        with pytest.raises(cli._Unparsed):
+            cli._build_parser(argv).parse_args(argv)
+        assert capsys.readouterr() == ("", "")
+
+
+ACCEPTED = [
+    ["build", "g"],
+    ["build", "gbar", "--from-table3", "--format", "text"],
+    ["build", "j", "--n", "2"],
+    ["check", "--law", "x = xx", "--law", "(xy)x = y"],
+    ["check", "g.json", "--variety", "ag"],
+    ["iso", "--anti", "a.json", "b.json", "--format", "text"],
+    ["classify-bijections", "g.json"],
+    ["canonical-iso", "g.json", "--enumeration", "1,0,2,3"],
+    ["decompose", "blocks", "g.json", "--partition", "[[0,1,2,3]]"],
+    ["decompose", "extension", "--n", "2", "--format", "text"],
+    ["spectrum", "--max-order", "3", "--oracle"],
+    ["models", "--order", "4", "--lim", "2", "--emit", "out"],
+    ["diff", "a.json", "b.json"],
+    ["limit-product", "--", "3", "5"],
+    ["verify-paper", "--only", "table-3", "--only", "lemma-12"],
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_the_narrow_parser_reads_what_the_full_parser_reads(argv):
+    assert vars(cli._build_parser(argv).parse_args(argv)) == vars(full_parse(argv))

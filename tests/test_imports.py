@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import agband
+from agband.construct import tower_level
+from agband.groupoid import to_json
 
 MODULES = (
     "errors", "groupoid", "laws", "construct", "morphisms", "decompose",
@@ -51,8 +53,28 @@ def last_line(proc):
     return proc.stdout.splitlines()[-1]
 
 
-def test_build_g_runs_neither_dataclasses_nor_inspect(fresh_python):
-    proc = fresh_python("-c", BUILD_G + "print(sorted({'dataclasses', 'inspect'}"
+# one command line per subcommand and decompose mode; {g} and {l2} are
+# Cayley JSON files of levels 1 and 2
+SUBCOMMANDS = (
+    "build g", "check {g}", "iso --anti {l2} {l2}", "classify-bijections {g}",
+    "canonical-iso {l2}", "decompose blocks {g} --partition [[0,1,2,3]]",
+    "decompose gcopies {l2}", "decompose extension --n 2",
+    "spectrum --variety band --max-order 3", "models --variety ag --order 3",
+    "diff {g} {g}", "limit-product 3 5", "verify-paper --only table-3",
+)
+
+
+@pytest.mark.parametrize("line", SUBCOMMANDS)
+def test_no_subcommand_runs_dataclasses_or_inspect(fresh_python, tmp_path, line):
+    files = {"g": tower_level(1), "l2": tower_level(2)}
+    for name, g in files.items():
+        (tmp_path / f"{name}.json").write_text(to_json(g), "utf-8")
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    argv = [part.format(**paths) for part in line.split()]
+    proc = fresh_python("-c", "import sys; before = set(sys.modules)\n"
+                        "import agband.cli\n"
+                        f"agband.cli.run({argv!r})\n"
+                        "print(sorted({'dataclasses', 'inspect'}"
                         " & (set(sys.modules) - before)))")
     assert last_line(proc) == "[]"
 
@@ -104,5 +126,17 @@ def test_models_with_more_than_ten_classes_leaves_morphisms_unrun(
                         "agband.cli.run(['models', '--variety', 'band', "
                         "'--order', '5'])\n"
                         "m = sys.modules['agband.morphisms']\n"
+                        "print(type(m) is types.ModuleType)")
+    assert last_line(proc) == "False"
+
+
+def test_iso_leaves_laws_unrun(fresh_python, tmp_path):
+    # morphisms runs laws only to name a refused input's failing law
+    path = tmp_path / "l2.json"
+    path.write_text(to_json(tower_level(2)), "utf-8")
+    proc = fresh_python("-c", "import sys, types; import agband.cli\n"
+                        f"agband.cli.run(['iso', '--anti', {str(path)!r}, "
+                        f"{str(path)!r}])\n"
+                        "m = sys.modules['agband.laws']\n"
                         "print(type(m) is types.ModuleType)")
     assert last_line(proc) == "False"

@@ -135,6 +135,69 @@ def test_iso_search_returns_none_between_different_orders():
     assert iso_search(G, tower_level(2)) is None
 
 
+def fixed_point_counts(g):
+    """Per element x, the number of y with xy = y and with yx = y."""
+    t, ys = g.table, range(g.order)
+    return [(sum(t[x][y] == y for y in ys), sum(t[y][x] == y for y in ys))
+            for x in ys]
+
+
+def near_misses(g, count, seed):
+    """``count`` one-cell changes of g that keep every element's
+    fixed-point counts, so that only a finer invariant or the search itself
+    tells them from g."""
+    rng, n, found = random.Random(seed), g.order, []
+    want = fixed_point_counts(g)
+    while len(found) < count:
+        table = [list(row) for row in g.table]
+        i, j = rng.randrange(n), rng.randrange(n)
+        table[i][j] = (table[i][j] + rng.randrange(1, n)) % n
+        bad = FiniteGroupoid(table)
+        if fixed_point_counts(bad) == want:
+            found.append(bad)
+    return found
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_iso_search_refutes_fixed_point_keeping_near_misses_unsearched(
+        level, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("agband.morphisms._search_hom_bijection", no_search)
+    for base in (tower_level(level), tower_level(level).opposite()):
+        for bad in near_misses(base, 4, level):
+            assert iso_search(bad, base) is None
+            assert iso_search(shuffled(bad, level), base) is None
+            assert iso_search(base, bad) is None
+
+
+def fixed_point_candidates(src, dst):
+    """The candidate images the search had before (xy)x = y was counted."""
+    cs, cd = fixed_point_counts(src), fixed_point_counts(dst)
+    return [frozenset(p for p in range(dst.order) if cd[p] == cs[u])
+            for u in range(src.order)]
+
+
+@pytest.mark.parametrize("name", ["level-1", "level-2", "level-3", "level-4",
+                                  "gbar", "z4", "left-zero-3"])
+def test_iso_search_finds_the_map_the_fixed_point_candidates_find(name):
+    from agband.morphisms import _search_hom_bijection
+
+    tables = {f"level-{k}": tower_level(k) for k in range(1, 5)}
+    tables.update(gbar=gbar_derived(), **CENSUS_TABLES)
+    g = tables[name]
+    for base in (g, g.opposite()):
+        for seed in (0, 1):
+            src = shuffled(base, seed)
+            for dst in (base, g):
+                want = _search_hom_bijection(
+                    src.table, dst.table, fixed_point_candidates(src, dst),
+                    g.order)
+                got = iso_search(src, dst)
+                assert (got and got.images) == want
+
+
 def test_anti_to_iso_rebuilds_an_isomorphism():
     count = 0
     cd, dc = G.table[0][1], G.table[1][0]
@@ -178,7 +241,7 @@ def test_anti_to_iso_sweeps_no_laws_on_valid_input(level, monkeypatch):
     def no_sweep(g, who):
         raise AssertionError("the law sweep ran on valid input")
 
-    monkeypatch.setattr("agband.morphisms.require_aragb", no_sweep)
+    monkeypatch.setattr("agband.laws.require_aragb", no_sweep)
     src, dst, phi = relabelled_opposite(level)
     assert anti_to_iso(phi, src, dst).kind is MapKind.ISO
 
@@ -202,7 +265,7 @@ def test_anti_to_iso_sweeps_a_refused_source_once(level, monkeypatch):
         sweeps.append(who)
         require_aragb(g, who)
 
-    monkeypatch.setattr("agband.morphisms.require_aragb", counted)
+    monkeypatch.setattr("agband.laws.require_aragb", counted)
     table = [list(row) for row in tower_level(level).table]
     table[1][5] = (table[1][5] + 1) % len(table)
     src = FiniteGroupoid(table)
@@ -251,7 +314,7 @@ def test_canonical_iso_sweeps_no_laws_on_valid_input(level, monkeypatch):
     def no_sweep(g, who):
         raise AssertionError("the law sweep ran on valid input")
 
-    monkeypatch.setattr("agband.morphisms.require_aragb", no_sweep)
+    monkeypatch.setattr("agband.laws.require_aragb", no_sweep)
     h = shuffled(tower_level(level), level)
     assert canonical_iso(h).kind is MapKind.ISO
     assert len(g_copy_partition(h).blocks) == h.order // 4
