@@ -11,6 +11,7 @@ copies intersect.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .construct import standard_g, tower_level
 from .errors import ResourceLimitError, SearchInvariantError
@@ -48,12 +49,13 @@ class Partition(namedtuple("Partition", "blocks")):
     def order(self) -> int:
         return sum(len(block) for block in self.blocks)
 
-    def block_of(self) -> dict[int, int]:
-        return {
-            e: ordinal
-            for ordinal, block in enumerate(self.blocks)
-            for e in block
-        }
+    def block_of(self) -> list[int]:
+        """The ordinal of each element's block, indexed by element."""
+        where = [0] * self.order
+        for ordinal, block in enumerate(self.blocks):
+            for e in block:
+                where[e] = ordinal
+        return where
 
 
 class DecompositionWitness(namedtuple("DecompositionWitness", "u v u2 v2")):
@@ -81,20 +83,27 @@ def check_band_decomposition(g: FiniteGroupoid, p: Partition):
         )
     block_of = p.block_of()
     t = g.table
-    k = len(p.blocks)
-    qtable = [[0] * k for _ in range(k)]
-    for bi, row_block in enumerate(p.blocks):
-        for bj, col_block in enumerate(p.blocks):
-            u0, v0 = row_block[0], col_block[0]
-            target = block_of[t[u0][v0]]
-            for u in row_block:
-                for v in col_block:
-                    if block_of[t[u][v]] != target:
-                        return DecompositionWitness(u0, v0, u, v)
-            qtable[bi][bj] = target
+    qtable = []
+    for row_block in p.blocks:
+        # each row gathered to block ordinals must be the first row's
+        # targets spread over the columns (at order 1 both gathers give a
+        # bare element, so they still compare alike)
+        u0 = row_block[0]
+        targets = [block_of[t[u0][col_block[0]]] for col_block in p.blocks]
+        pattern = itemgetter(*block_of)(targets)
+        if any(itemgetter(*t[u])(block_of) != pattern for u in row_block):
+            # the first witness in block pair, row, column order
+            for col_block in p.blocks:
+                v0 = col_block[0]
+                target = block_of[t[u0][v0]]
+                for u in row_block:
+                    for v in col_block:
+                        if block_of[t[u][v]] != target:
+                            return DecompositionWitness(u0, v0, u, v)
+        qtable.append(tuple(targets))
     quotient = FiniteGroupoid(
-        tuple(tuple(r) for r in qtable),
-        tuple(f"B{i}" for i in range(k)),
+        tuple(qtable),
+        tuple(f"B{i}" for i in range(len(p.blocks))),
     )
     return BandDecomposition(p, quotient)
 
@@ -119,10 +128,13 @@ def extension_block_decomposition(n: int) -> BandDecomposition:
             f"extension blocks failed to decompose level {n}: {outcome}"
         )
     previous = tower_level(n - 1).table
-    for block in outcome.partition.blocks:
-        if g.restrict(block).table != previous:
+    for lo in range(0, g.order, quarter):
+        # level n-1 moved up by lo must be the quarter itself, which is
+        # then closed, since level n-1 is
+        if any(row[lo:lo + quarter] != tuple(map(lo.__add__, want))
+               for row, want in zip(g.table[lo:lo + quarter], previous)):
             raise SearchInvariantError(
-                f"block starting at {block[0]} is not equal to the previous "
+                f"block starting at {lo} is not equal to the previous "
                 "level"
             )
     if iso_search(outcome.quotient, standard_g()) is None:

@@ -9,10 +9,16 @@ the terms inside the innermost loop.  On tables of order up to 256 the
 innermost variable is not a loop at all: it is swept as one ``bytes`` vector
 of all n elements, and each product with it in one factor is a single
 ``bytes.translate`` through a row or column of the table, so the work per
-assignment runs in C.  Laws with a product of the innermost variable by
+assignment runs in C.  In a law of four or more variables where each side
+reaches the innermost variable w through at most two *hooks*, the factors
+without w (``(xy)(zw)`` through ``xy`` and ``z``), a side's vector over w
+depends only on its hooks: it is tabulated once per call for every pair of
+hook values, and the loops stop one variable earlier, a side's n vectors
+over the variable before w being one ``operator.itemgetter`` gather of a
+table row or column.  Laws with a product of the innermost variable by
 itself (such as ``x = xx``), and tables above order 256, keep the scalar
-loop.  Both sweeps report the same lexicographically first counterexample.
-The same compiler builds the model search's delta scanners: on a partial
+loop.  All three sweeps report the same lexicographically first
+counterexample.  The same compiler builds the model search's delta scanners: on a partial
 table, with ``None`` for undecided cells, they re-check only the instances
 that read one given cell, always with scalar loops, and report the cells
 those instances force.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ParseError, VarietyError
 
@@ -207,7 +214,7 @@ _MAX_LOOPS = 20
 def _compile_kernel(identity: Identity, partial: bool = False):
     """Build the checker for this identity's shape.
 
-    The full kernel is ``_kernel(t, n, lines)``: it sweeps every assignment
+    The full kernel is called as ``(t, n, lines)``: it sweeps every assignment
     in lexicographic order and returns the first failing one as a tuple in
     variable order, or None.  With ``lines = (R, C)``, the rows and columns
     of ``t`` as 256-byte translation tables, the innermost variable ``w`` is
@@ -220,6 +227,18 @@ def _compile_kernel(identity: Identity, partial: bool = False):
     factors, such as ``x = xx``, cannot be lowered, and those kernels
     always loop on scalars; so do all kernels given ``lines = None``
     (tables of order above 256).
+
+    A law of four or more variables is tabulated when it can be (see the
+    module docstring; a side without w is one hook itself).  The tables of
+    n or n**2 vectors come from the same translates, equal vectors made
+    one object, and sides of one shape share one.  With z the variable
+    before w, each hook is a scalar or, for at most one per side, a vector
+    over z; the first differing z, then the first differing byte, give the
+    scalar loop's counterexample.  Three hooks, w in both factors of a
+    product, or a hook that cannot be a vector over z leave the law to the
+    vector lowering.  The function is named ``_tabulated``, ``_vector`` or
+    ``_scalar`` after its lowering; given ``lines = None`` (or, when
+    tabulated, order 1) the first two loop on scalars.
 
     With ``partial`` the result is the model search's delta scanner
     ``_scan(t, n, by_value, i, j, forced)``.  The table may hold ``None``
@@ -246,12 +265,18 @@ def _compile_kernel(identity: Identity, partial: bool = False):
     w = order[-1]
     pad = "    "
 
-    def nest(steps, known, vector: bool) -> list[str] | None:
+    def uses_w(t: Term) -> bool:
+        if isinstance(t, Var):
+            return t.name == w
+        return uses_w(t.left) or uses_w(t.right)
+
+    def nest(steps, known, vec: str = "", tabulate: bool = False):
         # ``steps`` are (line, opens a block, variables it binds), in order;
         # ``known`` maps subterms to the (expression, step) that gives their
         # value.  Every other subterm is hoisted to the first step after
-        # which it can be computed; with ``vector`` the ones that depend on
-        # w are bytes of length n
+        # which it can be computed; the ones that depend on the variable
+        # ``vec`` are bytes of length n, and with ``tabulate`` each side is
+        # a tuple of its n vectors over w, one for each value of ``vec``
         level = {v: k for k, (_, _, bound) in enumerate(steps) for v in bound}
         names: dict[tuple[str, bool], str] = {}
         stmts: list[tuple[int, str, str, bool]] = []
@@ -263,11 +288,11 @@ def _compile_kernel(identity: Identity, partial: bool = False):
             return names[expr, guard]
 
         def lower(t: Term) -> tuple[str, int, bool] | None:
-            # -> (name, step, depends on w); None when w meets itself
+            # -> (name, step, depends on vec); None when vec meets itself
             if t in known:
                 return known[t] + (False,)
             if isinstance(t, Var):
-                if vector and t.name == w:
+                if t.name == vec:
                     return "_w", -1, True
                 return t.name, level[t.name], False
             left, right = lower(t.left), lower(t.right)
@@ -287,10 +312,59 @@ def _compile_kernel(identity: Identity, partial: bool = False):
             lvl = max(la, lb)
             return temp(expr, lvl), lvl, va or vb
 
+        def tabulated(t: Term):
+            # -> (name, step, True); None when t has more than two hooks,
+            # w in both factors of a product, or hooks that cannot be
+            # gathered over z (vec) with one ``itemgetter``
+            seen = temp("{}", -1)
+            if not uses_w(t):
+                hooks = [t]
+                table = temp(f"_interned((bytes((_a,)) * _n for _a in range(_n)), "
+                             f"{seen})", -1)
+            else:
+                hooks, dirs, table = [], "", "_w"
+                while isinstance(t, Prod):
+                    left = uses_w(t.left)
+                    if left and uses_w(t.right):
+                        return None
+                    dirs += "C" if left else "R"
+                    hooks.append(t.right if left else t.left)
+                    t = t.left if left else t.right
+                if len(hooks) > 2:
+                    return None
+                if hooks:
+                    table = temp(f"_interned(map(_w.translate, {dirs[-1]}), {seen})",
+                                 -1)
+                if len(hooks) == 2:
+                    table = temp(f"[_interned([_v.translate({dirs[0]}[_a]) for _v in "
+                                 f"{table}], {seen}) for _a in range(_n)]", -1)
+            lowered = [lower(h) for h in hooks]
+            if None in lowered or sum(dep for _, _, dep in lowered) > 1:
+                return None
+            if not hooks:
+                return temp("(_w,) * _n", -1), -1, True
+            if lowered[0][2] and len(hooks) == 2:
+                # the outer hook varies with z: gather a column
+                table = temp(f"list(zip(*{table}))", -1)
+                lowered.reverse()
+            row, lvl = table, -1
+            if len(hooks) == 2:
+                lvl = lowered[0][1]
+                row = temp(f"{table}[{lowered[0][0]}]", lvl)
+            h, lh, dh = lowered[-1]
+            lvl = max(lvl, lh)
+            if not dh:
+                return temp(f"({row}[{h}],) * _n", lvl), lvl, True
+            if h == "_w":
+                return row, lvl, True
+            return temp(f"{temp(f'_ig(*{h})', lh)}({row})", lvl), lvl, True
+
         def side(t: Term):
             # -> (lowered, cell); in a scanner a side's outermost product
             # is left unguarded, and ``cell`` is the cell it reads, which
             # the other side's value forces while it is undecided
+            if tabulate:
+                return tabulated(t), None
             if not partial or isinstance(t, Var) or t in known:
                 return lower(t), None
             (a, la, _), (b, lb, _) = lower(t.left), lower(t.right)
@@ -301,13 +375,13 @@ def _compile_kernel(identity: Identity, partial: bool = False):
         if lhs is None or rhs is None:
             return None
         (a, la, va), (b, lb, vb) = lhs, rhs
-        if vector and not va:
+        if vec and not va:
             a = temp(f"bytes(({a},)) * _n", la)
-        if vector and not vb:
+        if vec and not vb:
             b = temp(f"bytes(({b},)) * _n", lb)
         code = []
         depth = 1
-        if "_w" in (a, b):
+        if vec:
             code.append(pad + "_w = bytes(range(_n))")
         for k in range(-1, len(steps)):
             if k >= 0:
@@ -331,12 +405,13 @@ def _compile_kernel(identity: Identity, partial: bool = False):
                          + f"_forced.append(({cell[0]}, {cell[1]}, {y}))"]
                 test = "elif"
         code.append(inner + f"{test} {a} != {b}:")
-        if vector:
-            code.append(inner + pad + f"for {w} in range(_n):")
-            code.append(inner + pad * 2 + f"if {a}[{w}] != {b}[{w}]:")
-            code.append(inner + pad * 3 + found)
-        else:
-            code.append(inner + pad + found)
+        # the vectors' first difference, innermost variable last
+        for v in order[order.index(vec):] if vec else ():
+            a, b = f"{a}[{v}]", f"{b}[{v}]"
+            code += [inner + pad + f"for {v} in range(_n):",
+                     inner + pad * 2 + f"if {a} != {b}:"]
+            inner += pad * 2
+        code.append(inner + pad + found)
         return code
 
     def loops(names) -> list[tuple[str, bool, tuple[str, ...]]]:
@@ -376,7 +451,7 @@ def _compile_kernel(identity: Identity, partial: bool = False):
                 f"identity {identity} is too deep for the model search: it "
                 f"needs more than {_MAX_LOOPS} nested loops"
             )
-        return nest(steps, known, False)
+        return nest(steps, known)
 
     def products(t: Term) -> list[Prod]:
         if isinstance(t, Var):
@@ -392,19 +467,31 @@ def _compile_kernel(identity: Identity, partial: bool = False):
         for prod in dict.fromkeys(products(identity.lhs) + products(identity.rhs)):
             src += delta(prod)
     else:
-        fname, src = "_kernel", ["def _kernel(_t, _n, _lines):"]
-        vec = nest(loops(order[:-1]), {}, True)
-        scalar = nest(loops(order), {}, False)
-        if vec is None:
-            src += scalar
+        # the function's name says which lowering it got
+        scalar, fname, fast = nest(loops(order), {}), "_tabulated", None
+        if len(order) >= 4:
+            fast = nest(loops(order[:-2]), {}, order[-2], True)
+        if fast is None:
+            fname, fast = "_vector", nest(loops(order[:-1]), {}, w)
+        if fast is None:
+            fname, src = "_scalar", ["def _scalar(_t, _n, _lines):"] + scalar
         else:
-            src += [pad + "if _lines is None:"]
+            # at order 1 an ``itemgetter`` would gather a bare element
+            tiny = " or _n < 2" if fname == "_tabulated" else ""
+            src = [f"def {fname}(_t, _n, _lines):", pad + f"if _lines is None{tiny}:"]
             src += [pad + line for line in scalar] + [pad * 2 + "return None"]
-            src += [pad + "R, C = _lines"] + vec
+            src += [pad + "R, C = _lines"] + fast
     src.append(pad + "return None")
-    ns: dict = {}
+    ns: dict = {"_ig": itemgetter, "_interned": _interned}
     exec("\n".join(src), ns)  # noqa: S102 - source is generated above
     return ns[fname]
+
+
+def _interned(vectors, seen: dict) -> tuple:
+    """The vectors as a tuple, each equal to one seen before replaced by
+    that one, so that comparing tuples of them mostly compares pointers."""
+    vectors = list(vectors)
+    return tuple(map(seen.setdefault, vectors, vectors))
 
 
 def _byte_lines(g):

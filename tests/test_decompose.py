@@ -134,6 +134,72 @@ def test_band_decomposition_reports_a_smearing_witness():
     assert where[G.table[u][v]] != where[G.table[u2][v2]]
 
 
+def reference_band_decomposition(g, p):
+    """The block-pair loop check_band_decomposition runs only once a row
+    gather finds a mismatch, here run over every pair."""
+    block_of = {e: ordinal for ordinal, block in enumerate(p.blocks) for e in block}
+    t = g.table
+    k = len(p.blocks)
+    qtable = [[0] * k for _ in range(k)]
+    for bi, row_block in enumerate(p.blocks):
+        for bj, col_block in enumerate(p.blocks):
+            u0, v0 = row_block[0], col_block[0]
+            target = block_of[t[u0][v0]]
+            for u in row_block:
+                for v in col_block:
+                    if block_of[t[u][v]] != target:
+                        return DecompositionWitness(u0, v0, u, v)
+            qtable[bi][bj] = target
+    quotient = FiniteGroupoid(tuple(map(tuple, qtable)),
+                              tuple(f"B{i}" for i in range(k)))
+    return BandDecomposition(p, quotient)
+
+
+def decomposition_inputs():
+    rng = random.Random(27)
+
+    def chunks(n, size):
+        return Partition(tuple(tuple(range(b, min(b + size, n)))
+                               for b in range(0, n, size)))
+
+    def scattered(n):
+        elements = list(range(n))
+        rng.shuffle(elements)
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(n))) if n > 1 else []
+        bounds = zip([0] + cuts, cuts + [n])
+        return Partition(tuple(tuple(elements[a:b]) for a, b in bounds))
+
+    cases = [("g-halves", G, chunks(4, 2)), ("g-points", G, chunks(4, 1)),
+             ("g-whole", G, chunks(4, 4)), ("gbar", gbar_derived(), chunks(16, 4)),
+             ("level-0", tower_level(0), chunks(1, 1))]
+    for level in (1, 2, 3):
+        g = tower_level(level)
+        cases += [(f"level-{level}-quarters", g, chunks(g.order, g.order // 4)),
+                  (f"level-{level}-fours", g, chunks(g.order, 4))]
+        for trial in range(4):
+            rows = [list(row) for row in g.table]
+            i, j = rng.randrange(g.order), rng.randrange(g.order)
+            rows[i][j] = rng.randrange(g.order)
+            bad = FiniteGroupoid(tuple(map(tuple, rows)))
+            cases += [(f"level-{level}-cell-{i}-{j}-quarters", bad,
+                       chunks(g.order, g.order // 4)),
+                      (f"level-{level}-cell-{i}-{j}-scattered", bad,
+                       scattered(g.order))]
+    return cases
+
+
+@pytest.mark.parametrize("name, g, p", decomposition_inputs(),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_band_decomposition_matches_the_block_pair_loop(name, g, p):
+    assert check_band_decomposition(g, p) == reference_band_decomposition(g, p)
+
+
+def test_band_decomposition_inputs_reach_both_outcomes():
+    outcomes = {type(check_band_decomposition(g, p)).__name__
+                for _, g, p in decomposition_inputs()}
+    assert outcomes == {"BandDecomposition", "DecompositionWitness"}
+
+
 def test_quotient_of_an_ag_model_stays_in_the_variety():
     gbar = gbar_derived()
     quarters = Partition(blocks=tuple(tuple(range(4 * b, 4 * b + 4)) for b in range(4)))

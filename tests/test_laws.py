@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,3 +312,130 @@ def test_variety_spec_is_shape_only_data():
     spec = VarietySpec(name="custom", identities=(IDEMPOTENT,))
     rep = check_variety(RIGHT_ZERO_4, spec)
     assert rep.holds and rep.variety == "custom"
+
+
+# --- the tabulated lowering ---------------------------------------------------
+
+# laws of four or more variables whose sides each reach the innermost
+# variable through at most two hooks (the factors without it), each
+# gatherable over the variable before it
+TABULATED_LAWS = tuple(
+    parse_identity(s)
+    for s in (
+        "(xy)(zw) = (xz)(yw)",  # medial: both sides hook on the left
+        "(xy)(zw) = (wz)(yx)",  # hooks on the right
+        "(xy)(zw) = (xw)(yz)",  # the outer hook varies with z: a column
+        "(xy)(zw) = (xz)y",  # a side without w
+        "(xy)(zw) = w",  # a side that is w itself
+        "((xy)z)(vw) = ((xv)z)(yw)",  # five variables
+        "((xy)z)(vw) = (xz)(yv)",
+    )
+)
+# four or more variables, but a side the table cannot serve, and the
+# lowering each keeps
+UNTABULATED_LAWS = {
+    parse_identity(s): kept
+    for s, kept in (
+        ("x(y(zw)) = ((wz)y)x", "_vector"),  # three hooks
+        ("(xy)(zw) = (xz)(zw)", "_vector"),  # both hooks vary with z
+        ("(xy)(zw) = (x(zz))w", "_vector"),  # z meets itself in a hook
+        ("(xy)(zw) = (xw)(yw)", "_scalar"),  # w in both factors
+    )
+}
+
+
+def lowering(ident):
+    return _compile_kernel(ident).__name__
+
+
+def test_laws_of_four_variables_lower_to_tables_where_each_side_allows():
+    assert all(lowering(idy) == "_tabulated" for idy in TABULATED_LAWS)
+    assert lowering(MEDIAL) == "_tabulated"
+    assert {idy: lowering(idy) for idy in UNTABULATED_LAWS} == UNTABULATED_LAWS
+    assert lowering(LEFT_INVERTIVE) == lowering(ANTI_RECTANGULAR) == "_vector"
+    # w meets itself, so no vector over it
+    assert lowering(IDEMPOTENT) == lowering(parse_identity("(xy)(zw) = (xw)(ww)")) \
+        == "_scalar"
+
+
+def corrupted(g, i, j, v):
+    rows = [list(row) for row in g.table]
+    rows[i][j] = v
+    return FiniteGroupoid(tuple(map(tuple, rows)))
+
+
+def kernel_inputs():
+    rng = random.Random(27)
+    tables = [("right-zero-4", RIGHT_ZERO_4)]
+    for n in (1, 2, 3, 5, 8, 16):
+        rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        tables.append((f"random-{n}", FiniteGroupoid(tuple(map(tuple, rows)))))
+    for level in (1, 2):
+        g = tower_level(level)
+        tables.append((f"level-{level}", g))
+        for _ in range(3):
+            i, j = rng.randrange(g.order), rng.randrange(g.order)
+            v = (g.table[i][j] + 1 + rng.randrange(g.order - 1)) % g.order
+            tables.append((f"level-{level}-cell-{i}-{j}", corrupted(g, i, j, v)))
+    g = tower_level(3)
+    tables.append(("level-3-cell-1-5", corrupted(g, 1, 5, 7)))
+    return tables
+
+
+@pytest.mark.parametrize("name, g", kernel_inputs(), ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("ident", TABULATED_LAWS, ids=str)
+def test_tabulated_kernel_matches_the_scalar_kernel_and_eval_term(name, g, ident):
+    k = len(variables(ident))
+    report = check_identity(g, ident)
+    scalar = _compile_kernel(ident)(g.table, g.order, None)
+    assert scalar == (None if report.holds else tuple(report.counterexample.values()))
+    if g.order ** k <= 70_000 or not report.holds and report.assignments <= 70_000:
+        assert report == reference_report(g, ident)
+    else:
+        assert report.holds and report.assignments == g.order ** k
+
+
+def test_medial_law_holds_on_level_3_through_the_table():
+    g = tower_level(3)
+    assert check_identity(g, MEDIAL) == IdentityReport(MEDIAL, True, None, 64 ** 4)
+
+
+@pytest.mark.parametrize("ident", UNTABULATED_LAWS, ids=str)
+def test_untabulated_laws_of_four_variables_match_eval_term(ident):
+    for level in (1, 2):
+        g = corrupted(tower_level(level), 1, 2, 0)
+        assert check_identity(g, ident) == reference_report(g, ident)
+
+
+def four_or_five_variable_laws():
+    # sides built as hook chains down to w over random hooks in x, y, z and
+    # v, and fully random sides, kept when they have four or five variables
+    def without_w(t):
+        if isinstance(t, Var):
+            return Var("v") if t.name == "w" else t
+        return Prod(without_w(t.left), without_w(t.right))
+
+    hook = terms(max_leaves=3).map(without_w)
+
+    @st.composite
+    def chain(draw):
+        side = Var("w")
+        for h in draw(st.lists(hook, max_size=3)):
+            side = Prod(h, side) if draw(st.booleans()) else Prod(side, h)
+        return side
+
+    sides = st.one_of(chain(), terms())
+    return st.tuples(sides, sides).map(
+        lambda p: parse_identity(str(Identity(*p)))
+    ).filter(lambda idy: len(variables(idy)) in (4, 5))
+
+
+@given(st.one_of(random_tables(), corrupted_levels()), four_or_five_variable_laws())
+@settings(max_examples=80, deadline=None)
+def test_four_and_five_variable_laws_match_eval_term_and_the_scalar_kernel(g, ident):
+    if g.order ** len(variables(ident)) > 70_000:
+        g = FiniteGroupoid(table=((0, 2, 1), (2, 1, 0), (1, 0, 2)))
+    report = check_identity(g, ident)
+    assert report == reference_report(g, ident)
+    scalar = _compile_kernel(ident)(g.table, g.order, None)
+    assert scalar == (None if report.holds else tuple(report.counterexample.values()))
