@@ -41,8 +41,7 @@ def standard_g() -> FiniteGroupoid:
 # block pairs multiplies into a single block, with the inner index given by a
 # fixed word in the base product p; the words below are written for row inner
 # index i, column inner index j and designated element a.  They are the scalar
-# form: extend evaluates the same words a whole block row at a time, and
-# limit_product one cell at a time.
+# form; extend evaluates the same words a whole block row at a time.
 
 _EXT_CELLS = {
     (0, 0): (0, lambda p, i, j, a: p(i, j)),
@@ -92,8 +91,24 @@ def extend(base: FiniteGroupoid, designated: int = 0,
         raise ValueError(f"label {x_label!r} already used in the base")
     from .laws import require_aragb  # here, so that `build g` never runs laws
     require_aragb(base, "base")
+    return _extend(base, designated, x_label)
+
+
+def _extension_labels(labels, a: int, x_label: str) -> list[str]:
+    """The labels of the extension of a base labelled ``labels``."""
+    ax = _mul_label(labels[a], x_label)
+    return (
+        list(labels)
+        + [_mul_label(x_label, s) for s in labels]
+        + [_mul_label(s, x_label) for s in labels]
+        + [x_label if i == a else _mul_label(ax, s) for i, s in enumerate(labels)]
+    )
+
+
+def _extend(base: FiniteGroupoid, a: int, x_label: str) -> FiniteGroupoid:
+    """``extend`` on a base already known to satisfy the defining laws."""
     m = base.table
-    a = designated
+    n = len(m)
     cols = tuple(zip(*m))
     js = range(n)
 
@@ -115,14 +130,8 @@ def extend(base: FiniteGroupoid, designated: int = 0,
              for ob, word in row), ())
         for row in words for i in js
     ]
-    ax = _mul_label(base.labels[a], x_label)
-    labels = (
-        list(base.labels)
-        + [_mul_label(x_label, s) for s in base.labels]
-        + [_mul_label(s, x_label) for s in base.labels]
-        + [x_label if i == a else _mul_label(ax, base.labels[i]) for i in range(n)]
-    )
-    return FiniteGroupoid(tuple(table), tuple(labels))
+    return FiniteGroupoid(tuple(table),
+                          _extension_labels(base.labels, a, x_label))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +140,7 @@ def extend(base: FiniteGroupoid, designated: int = 0,
 _tower_cache: list[FiniteGroupoid] = []
 
 # Level 5 (order 1024, about a million cells) builds in a fraction of a
-# second; level 6 would check the defining laws at order 1024, where the law
-# kernels loop on scalars, and then hold 16.7 M cells.
+# second; level 6 would hold 16.7 M cells.
 _MAX_LEVEL = 5
 
 
@@ -150,8 +158,9 @@ def tower_level(n: int) -> FiniteGroupoid:
     Level 0 is the one-element band, level 1 the standard order-4 model, and
     each later level extends the previous one at its first element with a
     generator named x1, x2, ...  Level k has order 4**k, and every level's
-    table is the top-left corner of the next one's.  Levels above 5
-    raise ResourceLimitError before any work.
+    table is the top-left corner of the next one's.  Each level extended is
+    first certified against its F_4 model, which proves its defining laws.
+    Levels above 5 raise ResourceLimitError before any work.
     """
     if n < 0:
         raise IndexError("tower levels start at 0")
@@ -160,8 +169,10 @@ def tower_level(n: int) -> FiniteGroupoid:
         _tower_cache.append(FiniteGroupoid(((0,),), ("a",)))
         _tower_cache.append(standard_g())
     while len(_tower_cache) <= n:
+        from .affine import certify  # here, so that `build g` never runs it
         k = len(_tower_cache)
-        _tower_cache.append(extend(_tower_cache[k - 1], 0, f"x{k - 1}"))
+        certify(_tower_cache[k - 1], k - 1)
+        _tower_cache.append(_extend(_tower_cache[k - 1], 0, f"x{k - 1}"))
     return _tower_cache[n]
 
 
@@ -170,28 +181,13 @@ def limit_product(i: int, j: int) -> int:
 
     Prefix compatibility makes this well defined: any level whose order
     exceeds both indices gives the same answer.  It is evaluated without a
-    table, as the extension word of the two indices' blocks, down to the
-    order-4 model.  Indices of 1024 and up lie above level 5 and raise
-    ResourceLimitError, as tower_level does.
+    table, as the affine product of the two indices' vectors over F_4, in
+    time linear in their number of base-4 digits.
     """
     if i < 0 or j < 0:
         raise IndexError("indices must be nonnegative")
-    level = 1
-    while 4 ** level <= max(i, j):
-        level += 1
-    _require_level_in_envelope(level)
-    return _block_product(i, j, 4 ** (level - 1))
-
-
-def _block_product(i: int, j: int, n: int) -> int:
-    """Product in a tower level whose extension blocks have n elements."""
-    if n == 1:
-        return _G_TABLE[i][j]
-    rb, i = divmod(i, n)
-    cb, j = divmod(j, n)
-    ob, word = _EXT_CELLS[(rb, cb)]
-    quarter = n // 4
-    return ob * n + word(lambda u, v: _block_product(u, v, quarter), i, j, 0)
+    from .affine import product, to_index, to_vector
+    return to_index(product(to_vector(i), to_vector(j)))
 
 
 def adjoined_generator_index(level: int) -> int:
@@ -205,13 +201,21 @@ def j_subband(n: int) -> FiniteGroupoid:
     """The order-4**n sub-band of level n+1 generated by element 0 together
     with the generators adjoined at levels 2..n+1.  Proper in its ambient
     level, yet isomorphic to level n: the self-embedding witness.
+
+    Level n+1 is not built: the seeds' vectors are 0 and the unit vectors of
+    coordinates 1..n, whose span is the vectors 4u, u in level n.  Level n
+    is certified, as extending it would be.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    g = tower_level(n + 1)
-    seeds = {0} | {adjoined_generator_index(k) for k in range(2, n + 2)}
-    carrier = sorted(g.generated_subgroupoid(seeds))
-    return g.restrict(carrier)
+    _require_level_in_envelope(n + 1)
+    from .affine import affine_table, certify, to_index, to_vector
+    base = tower_level(n)
+    certify(base, n)
+    carrier = sorted(to_index(u << 2) for u in range(base.order))
+    table = affine_table(bytes(to_vector(t) >> 2 for t in carrier))
+    labels = _extension_labels(base.labels, 0, f"x{n}")
+    return FiniteGroupoid(table, [labels[t] for t in carrier])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from operator import itemgetter
 from .construct import standard_g, tower_level
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
-from .laws import require_aragb
 from .morphisms import canonical_iso, iso_search
 
 
@@ -127,11 +126,13 @@ def extension_block_decomposition(n: int) -> BandDecomposition:
         raise SearchInvariantError(
             f"extension blocks failed to decompose level {n}: {outcome}"
         )
-    previous = tower_level(n - 1).table
+    previous = [itemgetter(*row) for row in tower_level(n - 1).table]
     for lo in range(0, g.order, quarter):
-        # level n-1 moved up by lo must be the quarter itself, which is
-        # then closed, since level n-1 is
-        if any(row[lo:lo + quarter] != tuple(map(lo.__add__, want))
+        # level n-1 gathered from the shifted range must be the quarter,
+        # which is then closed (at n = 1 both gathers give a bare element)
+        shifted = tuple(range(lo, lo + quarter))
+        cut = itemgetter(*shifted)
+        if any(cut(row) != want(shifted)
                for row, want in zip(g.table[lo:lo + quarter], previous)):
             raise SearchInvariantError(
                 f"block starting at {lo} is not equal to the previous "
@@ -200,6 +201,7 @@ def copy_intersection_audit(g: FiniteGroupoid) -> IntersectionAudit:
             f"audit is quadratic in generated copies; supported up to order "
             f"{_AUDIT_LIMIT}"
         )
+    from .laws import require_aragb  # here, so only the audit runs laws
     require_aragb(g, "input")
     reference = standard_g()
     multiplicity: dict[frozenset[int], int] = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from itertools import chain
+from operator import itemgetter
 
 from .errors import ClosureError
 
@@ -98,16 +99,15 @@ class FiniteGroupoid:
         for s in seeds:
             if not (isinstance(s, int) and 0 <= s < n):
                 raise IndexError(f"seed {s!r} out of range for order {n}")
+        # each round gathers every product with a factor found last round
         t = self.table
-        closed = set(seeds)
-        work = list(closed)
-        while work:
-            u = work.pop()
-            for v in tuple(closed):
-                for w in (t[u][v], t[v][u]):
-                    if w not in closed:
-                        closed.add(w)
-                        work.append(w)
+        closed, new = set(seeds), list(seeds)
+        while new:
+            members = list(closed)
+            found = set(chain.from_iterable(_gather(t[u], members) for u in new))
+            found.update(chain.from_iterable(_gather(t[v], new) for v in members))
+            new = list(found - closed)
+            closed.update(new)
         return closed
 
     def is_cancellative(self) -> CancellativityReport:
@@ -128,18 +128,19 @@ class FiniteGroupoid:
         for s in sub:
             if not (isinstance(s, int) and 0 <= s < n):
                 raise IndexError(f"index {s!r} out of range for order {n}")
-        pos = {v: k for k, v in enumerate(sub)}
         t = self.table
-        for i in sub:
-            for j in sub:
-                if t[i][j] not in pos:
-                    raise ClosureError(
-                        f"subset not closed: {i} * {j} = {t[i][j]} escapes",
-                        witness=(i, j, t[i][j]),
-                    )
+        rows = [_gather(t[i], sub) for i in sub]
+        pos = dict(zip(sub, range(len(sub))))
+        if not pos.keys() >= set(chain.from_iterable(rows)):
+            i, j = next((i, j) for i, row in zip(sub, rows)
+                        for j, v in zip(sub, row) if v not in pos)
+            raise ClosureError(
+                f"subset not closed: {i} * {j} = {t[i][j]} escapes",
+                witness=(i, j, t[i][j]),
+            )
         return FiniteGroupoid(
-            table=tuple(tuple(pos[t[i][j]] for j in sub) for i in sub),
-            labels=tuple(self.labels[i] for i in sub),
+            table=[_gather(pos, row) for row in rows],
+            labels=_gather(self.labels, sub),
         )
 
     def relabel(self, perm) -> "FiniteGroupoid":
@@ -158,6 +159,13 @@ class FiniteGroupoid:
             ),
             labels=tuple(self.labels[inv[i]] for i in range(n)),
         )
+
+
+def _gather(seq, indices) -> tuple:
+    """``tuple(seq[i] for i in indices)`` by one C-level itemgetter call."""
+    if len(indices) == 1:  # where itemgetter gives a bare item
+        return (seq[indices[0]],)
+    return itemgetter(*indices)(seq)
 
 
 def _first_repeat(rows) -> tuple[int, int, int] | None:
@@ -184,9 +192,9 @@ def to_json(g: FiniteGroupoid) -> str:
     json; the table rows, which are plain ints, are joined directly.
     """
     head = json.dumps({"order": g.order, "labels": list(g.labels)}, indent=2)
-    numeral = list(map(str, range(g.order))).__getitem__
+    numerals = tuple(map(str, range(g.order)))
     rows = ",\n    ".join(
-        ["[\n      " + ",\n      ".join(map(numeral, row)) + "\n    ]"
+        ["[\n      " + ",\n      ".join(_gather(numerals, row)) + "\n    ]"
          for row in g.table]
     )
     return head[:-2] + ',\n  "table": [\n    ' + rows + "\n  ]\n}"

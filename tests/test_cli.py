@@ -418,10 +418,15 @@ def test_limit_product_rejects_negative_indices(capsys):
     assert run(["limit-product", "--", "-1", "0"]) == 2
 
 
+def test_limit_product_answers_past_the_built_tower(capsys):
+    # 4**40 heads block 1 of its level; times 0 it lands on 2 * 4**40
+    assert run(["limit-product", str(4 ** 40), "0"]) == 0
+    assert out_json(capsys)["product"] == 2 * 4 ** 40
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["limit-product", "1024", "0"],
         ["build", "gn", "--n", "6"],
         ["build", "j", "--n", "5"],
         ["decompose", "extension", "--n", "6"],

@@ -117,7 +117,7 @@ def test_tower_level_rejects_negative_levels():
 def test_tower_refuses_levels_above_five_before_building():
     built = len(construct._tower_cache)
     for call in (lambda: tower_level(6), lambda: tower_level(7),
-                 lambda: limit_product(1024, 0), lambda: j_subband(5)):
+                 lambda: j_subband(5)):
         with pytest.raises(ResourceLimitError, match="tower level"):
             call()
     assert len(construct._tower_cache) == built

@@ -243,6 +243,31 @@ def test_extension_blocks_must_equal_the_previous_level(monkeypatch):
         extension_block_decomposition(2)
 
 
+def quarters_equal_previous(table, previous):
+    """The slice-and-shift loop that the quarter gathers replaced."""
+    q = len(previous)
+    return all(row[lo:lo + q] == tuple(map(lo.__add__, want))
+               for lo in range(0, len(table), q)
+               for row, want in zip(table[lo:lo + q], previous))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_extension_quarters_match_the_slice_loop(n, monkeypatch):
+    g, previous = tower_level(n), tower_level(n - 1)
+    assert quarters_equal_previous(g.table, previous.table)
+    extension_block_decomposition(n)
+    if n == 1:  # level 0 has no other table of its order
+        return
+    table = [list(row) for row in previous.table]
+    table[-1][-1] = (table[-1][-1] + 1) % previous.order
+    bad = FiniteGroupoid(table)
+    assert not quarters_equal_previous(g.table, bad.table)
+    monkeypatch.setattr(decompose, "tower_level",
+                        lambda level: bad if level == n - 1 else g)
+    with pytest.raises(SearchInvariantError, match="not equal"):
+        extension_block_decomposition(n)
+
+
 def test_tower_levels_split_into_consecutive_copies_of_g():
     # the fact g_copy_partition pulls back: each block {4k, ..., 4k+3} of a
     # tower level is closed and a copy of the order-4 model

@@ -165,6 +165,69 @@ def test_restrict_reindexes_and_checks_closure():
     assert exc.value.witness == (1, 1, 2) or exc.value.witness[2] not in (1, 2)
 
 
+def reference_closure(g, seeds):
+    """The cell-by-cell worklist closure that the gathers replaced."""
+    t = g.table
+    closed = set(seeds)
+    work = list(closed)
+    while work:
+        u = work.pop()
+        for v in tuple(closed):
+            for w in (t[u][v], t[v][u]):
+                if w not in closed:
+                    closed.add(w)
+                    work.append(w)
+    return closed
+
+
+def reference_restrict(g, subset):
+    """The cell-by-cell restriction that the gathers replaced."""
+    sub = sorted(set(subset))
+    pos = {v: k for k, v in enumerate(sub)}
+    t = g.table
+    for i in sub:
+        for j in sub:
+            if t[i][j] not in pos:
+                raise ClosureError(
+                    f"subset not closed: {i} * {j} = {t[i][j]} escapes",
+                    witness=(i, j, t[i][j]),
+                )
+    return FiniteGroupoid(
+        table=tuple(tuple(pos[t[i][j]] for j in sub) for i in sub),
+        labels=tuple(g.labels[i] for i in sub),
+    )
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ClosureError as e:
+        return str(e), e.witness
+
+
+@settings(max_examples=200)
+@given(small_tables(8).flatmap(lambda t: st.tuples(
+    st.just(t), st.sets(st.integers(0, len(t) - 1), min_size=1))))
+def test_closure_and_restrict_match_the_cell_loops(table_subset):
+    table, subset = table_subset
+    g = FiniteGroupoid(table)
+    assert g.generated_subgroupoid(subset) == reference_closure(g, subset)
+    assert (outcome(g.restrict, subset)
+            == outcome(reference_restrict, g, subset))
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_closure_and_restrict_match_the_cell_loops_on_tower_levels(level):
+    g = tower_level(level)
+    for seeds in ({0, 12}, {5, 9, 33}, {1, 2, 3}, {0}, set(range(0, g.order, 7))):
+        seeds = {s % g.order for s in seeds}
+        closed = g.generated_subgroupoid(seeds)
+        assert closed == reference_closure(g, seeds)
+        assert g.restrict(closed) == reference_restrict(g, closed)
+        assert (outcome(g.restrict, seeds | {1})
+                == outcome(reference_restrict, g, seeds | {1}))
+
+
 def test_relabel_moves_products_with_elements():
     perm = (2, 0, 1)
     h = Z3.relabel(perm)

@@ -17,7 +17,7 @@ MODULES = (
 )
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES + ("affine",))
 def test_each_module_imports_in_a_fresh_interpreter(fresh_python, module):
     proc = fresh_python("-c", f"import agband.{module}")
     assert proc.returncode == 0, proc.stderr
@@ -130,13 +130,24 @@ def test_models_with_more_than_ten_classes_leaves_morphisms_unrun(
     assert last_line(proc) == "False"
 
 
-def test_iso_leaves_laws_unrun(fresh_python, tmp_path):
-    # morphisms runs laws only to name a refused input's failing law
+def test_build_g_leaves_the_affine_module_unloaded(fresh_python):
+    proc = fresh_python("-c", BUILD_G + "print('agband.affine' in sys.modules)")
+    assert last_line(proc) == "False"
+
+
+# morphisms runs laws only to name a refused input's failing law, and the
+# tower levels the others build or identify are certified by their F_4
+# model, so none of these sweeps a law on success
+@pytest.mark.parametrize("line", [
+    "iso --anti {l2} {l2}", "build gn --n 3", "build j --n 2",
+    "canonical-iso {l2}", "decompose extension --n 3", "decompose gcopies {l2}",
+])
+def test_commands_leave_laws_unrun(fresh_python, tmp_path, line):
     path = tmp_path / "l2.json"
     path.write_text(to_json(tower_level(2)), "utf-8")
+    argv = line.format(l2=path).split()
     proc = fresh_python("-c", "import sys, types; import agband.cli\n"
-                        f"agband.cli.run(['iso', '--anti', {str(path)!r}, "
-                        f"{str(path)!r}])\n"
+                        f"agband.cli.run({argv!r})\n"
                         "m = sys.modules['agband.laws']\n"
                         "print(type(m) is types.ModuleType)")
     assert last_line(proc) == "False"
