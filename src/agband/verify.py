@@ -440,21 +440,17 @@ _REGISTRY: tuple[tuple[str, str, object], ...] = (
 )
 
 
-def claim_ids() -> tuple[str, ...]:
-    return tuple(claim for claim, _, _ in _REGISTRY)
-
-
 def run_claims(only=None) -> VerificationReport:
     """Run all claim checks, or the subset named in `only`."""
     if only is not None:
         wanted = list(only)
         if not wanted:
             raise ValueError("no claim ids selected")
-        known = set(claim_ids())
+        known = [claim for claim, _, _ in _REGISTRY]
         unknown = [c for c in wanted if c not in known]
         if unknown:
             raise ValueError(
-                f"unknown claim ids {unknown}; known: {', '.join(claim_ids())}"
+                f"unknown claim ids {unknown}; known: {', '.join(known)}"
             )
         selected = set(wanted)
     else:

@@ -136,6 +136,20 @@ def test_certify_takes_levels_one_to_four_at_their_order():
             affine.certify(g, level)
 
 
+def test_certify_refuses_an_index_map_that_is_not_a_bijection(monkeypatch):
+    monkeypatch.setattr(affine, "to_vector", lambda e: e // 2)
+    with pytest.raises(SearchInvariantError, match="not a bijection at level 1"):
+        affine.certify(tower_level(1), 1)
+
+
+def test_certify_refuses_when_f4_fails_a_defining_law(monkeypatch):
+    # the left-zero product: (xy)z = x but (zy)x = z
+    monkeypatch.setattr(affine, "product", lambda x, y: x)
+    with pytest.raises(SearchInvariantError,
+                       match=r"F_4 fails a defining law at \(0, 0, 1\)"):
+        affine.certify(tower_level(1), 1)
+
+
 def test_tower_level_certifies_each_level_it_extends(monkeypatch):
     real = construct._extend
 

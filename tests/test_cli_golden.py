@@ -1,16 +1,19 @@
 """Whole CLI outputs, byte for byte: every subcommand in both formats on
-small inputs, and the refusals, against ``tests/golden/cli.json``.
+small inputs, and the refusals, against ``tests/golden/cli.json``; and the
+full ``verify-paper --format json`` run against
+``tests/golden/verify-paper.json``.
 
-``tests/golden/cli.json`` and ``tests/golden/verify-paper.json`` (checked
-in ``tests/test_cli.py``) are the output spec of the CLI and of
-``verify-paper``.  ``tests/test_cli.py`` checks what a case here cannot
-pin: the process exit, stdin, malformed input and emitted files.
+These two files are the output spec of the CLI and of ``verify-paper``.
+``tests/test_cli.py`` checks what a case here cannot pin: the process
+exit, stdin, malformed input, emitted files and the paths reached only by
+patching the library.
 
-The golden file maps each command line, as ``shlex.split`` reads it, to
-its exit code, stdout and stderr.  Only the wall-clock ``seconds`` of ``models`` is masked.
-Rewrite it, on purpose only, with
+``cli.json`` maps each command line, as ``shlex.split`` reads it, to its
+exit code, stdout and stderr.  Only the wall-clock ``seconds`` of
+``models`` is masked.  Rewrite the two files, on purpose only, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python -m agband.cli verify-paper --format json > tests/golden/verify-paper.json
 """
 
 import contextlib
@@ -28,6 +31,7 @@ from agband.construct import gbar_derived, standard_g, tower_level
 from agband.groupoid import FiniteGroupoid, to_json
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
+VERIFY_PAPER = GOLDEN.with_name("verify-paper.json")
 
 
 def _shuffled(g, seed):
@@ -60,13 +64,16 @@ BOTH_FORMATS = [
     "build gn --n 2",
     "build gbar",
     "build gbar --from-table3",
+    "build j --n 1",
     "build j --n 2",
+    "build j --n 0",
     "check g.json",
     "check l2r.json",
     "check l2bad.json",
     "check gbar.json --variety ag",
     "check g.json --law '(xy)z = (zy)x' --law 'xx = x'",
     "check missing.json",
+    "iso g.json g.json",
     "iso l2.json l2r.json",
     "iso l2.json l2op.json --anti",
     "iso l2.json l2op.json",
@@ -75,13 +82,16 @@ BOTH_FORMATS = [
     "classify-bijections l2.json",
     "canonical-iso g.json",
     "canonical-iso g.json --enumeration 3,1,2,0",
+    "canonical-iso g.json --enumeration 0,0,1,2",
     "canonical-iso l2r.json",
     "canonical-iso l2op.json",
     "canonical-iso l2bad.json",
     "canonical-iso five.json",
     f"decompose blocks gbar.json --partition '{QUARTERS}'",
     f"decompose blocks l2.json --partition '{QUARTERS}'",
+    "decompose blocks g.json --partition '[[0], [1], [2], [3]]'",
     "decompose blocks g.json --partition '[[0, 1], [2, 3]]'",
+    "decompose blocks g.json --partition '[[0, 1, 2]]'",
     "decompose gcopies g.json",
     "decompose gcopies l2r.json",
     "decompose gcopies gbar.json",
@@ -89,9 +99,12 @@ BOTH_FORMATS = [
     "decompose extension --n 2",
     "spectrum --max-order 4",
     "spectrum --variety band --max-order 2 --oracle",
+    "spectrum --variety aragb --max-order 5 --oracle",
+    "spectrum --max-order 0",
     "models --order 4",
     "models --variety band --order 3",
     "models --order 4 --emit out",
+    "models --order 3 --limit 0",
     "diff l2.json l2bad.json",
     "diff g.json g.json",
     "limit-product 5 6",
@@ -151,6 +164,12 @@ def test_cli_output_matches_the_golden_file(case, golden, inputs_dir,
                                             monkeypatch):
     monkeypatch.chdir(inputs_dir)
     assert _run(shlex.split(case)) == golden[case]
+
+
+def test_verify_paper_json_matches_the_golden_file():
+    assert _run(["verify-paper", "--format", "json"]) == {
+        "exit": 0, "stdout": VERIFY_PAPER.read_text(encoding="utf-8"),
+        "stderr": ""}
 
 
 if __name__ == "__main__":

@@ -75,6 +75,11 @@ def test_extend_rejects_non_models_and_bad_arguments():
         extend(standard_g(), designated=9)
 
 
+def test_extend_refuses_an_x_label_the_base_already_uses():
+    with pytest.raises(ValueError, match="label 'ab' already used in the base"):
+        extend(standard_g(), x_label="ab")
+
+
 def scalar_extension_table(base, a):
     """The extension table cell by cell from the scalar _EXT_CELLS words."""
     m, n = base.table, base.order

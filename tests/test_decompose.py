@@ -243,6 +243,24 @@ def test_extension_blocks_must_equal_the_previous_level(monkeypatch):
         extension_block_decomposition(2)
 
 
+def test_extension_refuses_quarters_that_smear(monkeypatch):
+    monkeypatch.setattr(decompose, "check_band_decomposition",
+                        lambda g, p: DecompositionWitness(0, 4, 1, 5))
+    with pytest.raises(SearchInvariantError,
+                       match="extension blocks failed to decompose level 2"):
+        extension_block_decomposition(2)
+
+
+def iso_search_finds_nothing(monkeypatch):
+    monkeypatch.setattr(decompose, "iso_search", lambda src, dst: None)
+
+
+def test_extension_refuses_a_quotient_that_is_not_g(monkeypatch):
+    iso_search_finds_nothing(monkeypatch)
+    with pytest.raises(SearchInvariantError, match="quotient is not isomorphic"):
+        extension_block_decomposition(2)
+
+
 def quarters_equal_previous(table, previous):
     """The slice-and-shift loop that the quarter gathers replaced."""
     q = len(previous)
@@ -327,6 +345,13 @@ def test_g_copy_partition_rejects_wrong_orders_and_varieties():
     assert not err.value.report.holds
 
 
+def test_g_copy_partition_refuses_a_block_that_is_not_g(monkeypatch):
+    iso_search_finds_nothing(monkeypatch)
+    with pytest.raises(SearchInvariantError,
+                       match=r"block \(0, 1, 2, 3\) is not isomorphic"):
+        g_copy_partition(G)
+
+
 def test_intersection_audit_on_the_small_model():
     audit = copy_intersection_audit(G)
     assert isinstance(audit, IntersectionAudit)
@@ -346,6 +371,13 @@ def test_intersection_audit_sees_all_three_sizes():
     # each copy, and 120 * 119 / 2 pairs of them in all
     assert audit.distribution[4] == 20 * 15
     assert sum(audit.distribution.values()) == 120 * 119 // 2
+
+
+def test_intersection_audit_counts_pairs_that_span_no_copy_of_g(monkeypatch):
+    iso_search_finds_nothing(monkeypatch)
+    audit = copy_intersection_audit(G)
+    assert (audit.distinct_copies, audit.nonstandard_pairs) == (0, 6)
+    assert not audit.ok
 
 
 def test_intersection_audit_order_limit():

@@ -54,6 +54,11 @@ def test_rejects_duplicate_labels():
         FiniteGroupoid(table=((0, 1), (1, 0)), labels=("x", "x"))
 
 
+def test_rejects_too_few_labels():
+    with pytest.raises(ValueError, match="expected 2 labels, got 1"):
+        FiniteGroupoid(table=((0, 1), (1, 0)), labels=("x",))
+
+
 def test_default_labels_fill_in():
     g = FiniteGroupoid(table=((0, 1), (1, 0)))
     assert g.labels == default_labels(2) == ("e0", "e1")
@@ -163,6 +168,16 @@ def test_restrict_reindexes_and_checks_closure():
     with pytest.raises(ClosureError) as exc:
         Z3.restrict([1, 2])
     assert exc.value.witness == (1, 1, 2) or exc.value.witness[2] not in (1, 2)
+
+
+def test_restrict_refuses_an_empty_subset():
+    with pytest.raises(ValueError, match="subset must be nonempty"):
+        LEFT_ZERO_3.restrict([])
+
+
+def test_restrict_refuses_an_index_out_of_range():
+    with pytest.raises(IndexError, match="index 3 out of range for order 3"):
+        LEFT_ZERO_3.restrict([0, 3])
 
 
 def reference_closure(g, seeds):

@@ -84,6 +84,12 @@ def test_parse_error_carries_offset():
     assert exc.value.offset == 2
 
 
+def test_parse_term_refuses_trailing_input():
+    with pytest.raises(ParseError, match="unexpected trailing input") as exc:
+        parse_term("xy)")
+    assert exc.value.offset == 2
+
+
 @given(terms(), terms())
 def test_pretty_parse_round_trip(lhs, rhs):
     ident = Identity(lhs, rhs)

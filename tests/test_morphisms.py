@@ -275,6 +275,32 @@ def test_anti_to_iso_sweeps_a_refused_source_once(level, monkeypatch):
     assert sweeps == ["source"]
 
 
+def test_anti_to_iso_returns_the_given_map_on_a_commutative_source():
+    trivial = tower_level(0)
+    phi = verified((0,), trivial, trivial)
+    assert anti_to_iso(phi, trivial, trivial) == ((0,), MapKind.ISO)
+
+
+def staged_construction_fails(monkeypatch):
+    def fails(k, enumeration=None):
+        raise SearchInvariantError("the staged construction failed")
+
+    monkeypatch.setattr("agband.morphisms._staged_iso", fails)
+
+
+def test_canonical_iso_reraises_the_staged_error_when_the_laws_hold(monkeypatch):
+    staged_construction_fails(monkeypatch)
+    with pytest.raises(SearchInvariantError, match="staged construction failed"):
+        canonical_iso(G)
+
+
+def test_anti_to_iso_reraises_the_staged_error_when_the_laws_hold(monkeypatch):
+    src, dst, phi = relabelled_opposite(1)
+    staged_construction_fails(monkeypatch)
+    with pytest.raises(SearchInvariantError, match="staged construction failed"):
+        anti_to_iso(phi, src, dst)
+
+
 def test_anti_to_iso_rejects_a_non_anti_isomorphism():
     phi = verified((0, 1, 2, 3), G, G)  # this one is an isomorphism
     with pytest.raises((ValueError, SearchInvariantError)):
@@ -300,6 +326,17 @@ def test_two_generator_recipe_refuses_a_span_outside_the_variety():
     z4 = FiniteGroupoid(tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4)))
     with pytest.raises(VarietyError, match=r"^input violates '"):
         two_generator_recipe(z4, 0, 1)
+
+
+def test_two_generator_recipe_refuses_equal_generators():
+    with pytest.raises(ValueError, match="generators must be distinct"):
+        two_generator_recipe(G, 2, 2)
+
+
+def test_two_generator_recipe_refuses_a_span_of_two_elements():
+    left_zero = FiniteGroupoid([[i] * 4 for i in range(4)])
+    with pytest.raises(SearchInvariantError, match="<0, 1> has 2 elements"):
+        two_generator_recipe(left_zero, 0, 1)
 
 
 def test_canonical_iso_on_shuffled_towers():

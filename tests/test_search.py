@@ -381,6 +381,11 @@ def test_oracle_refuses_what_it_cannot_sweep():
         brute_force_oracle(5, ARAGB)
 
 
+def test_oracle_refuses_order_zero():
+    with pytest.raises(ValueError, match="order must be positive"):
+        brute_force_oracle(0, ARAGB)
+
+
 def test_known_counts_from_the_literature():
     assert brute_force_oracle(2, get_variety("ag")) == 3
     assert brute_force_oracle(3, get_variety("ag")) == 20
