@@ -1,27 +1,20 @@
 """Exhaustive search for finite models of an identity variety.
 
-Backtracking over Cayley-table cells in row-major order.  After each
-assignment the search propagates: idempotency fixes the diagonal up front,
-the law (xy)x = y forces table[k][i] = j whenever table[i][j] = k, varieties
-containing that law get row/column all-different pruning (it implies both
-cancellation properties), and the ground instances of the remaining
-identities that read a newly decided cell are re-checked at once, by the
-delta scanners of ``laws._compile_kernel``; every other instance was
-already checked or is still undecided.  An instance with one side decided
-whose other side lacks only its outermost cell forces that cell to the
-decided value; forced cells are scanned in turn until nothing changes.
-Propagation removes only partial tables that cannot be completed.  Outside
-witness mode, symmetry is broken on complete rows: row 0 must be at most
-each row k as written by every relabeling that sends k to 0, as it is in
-every canonical table, so each class keeps its canonical table.
+Backtracking over Cayley-table cells in row-major order, run by one list
+of propagators built from the variety's laws: the idempotent pins; the
+law (xy)x = y, which forces table[k][i] = j whenever table[i][j] = k and
+keeps rows and columns all-different (it implies both cancellations);
+one delta scanner per other law (``laws._compile_kernel``), re-checking
+the instances that read a newly decided cell and forcing the one cell an
+instance lacks, in turn; and the row-minimal break.  Propagation removes
+only partial tables that cannot be completed.
 
 The walk only yields the completed tables.  One loop after it takes each
 to its canonical form (the lexicographic minimum over all relabelings),
 drops repeats, re-checks the laws on the first table of each class and
-stops at the limit.  Orders 9..16 run in witness mode only: a limit is
-required, found tables are re-verified but neither pruned by the row test
-nor canonicalized, so duplicates up to isomorphism may appear among the
-witnesses.
+stops at the limit.  Past the full-enumeration envelope, up to order 16,
+witness mode requires a limit and leaves out the row break and the
+canonical forms, so witnesses may repeat up to isomorphism.
 """
 
 from __future__ import annotations
@@ -29,13 +22,12 @@ from __future__ import annotations
 import itertools
 import time
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
 from .laws import (
-    Var,
     VarietySpec,
     _compile_kernel,
     alpha_key,
@@ -51,6 +43,7 @@ _IDEMPOTENT_KEYS = frozenset(
 _FORCING_KEYS = frozenset(
     alpha_key(parse_identity(s)) for s in ("(xy)x = y", "y = (xy)x")
 )
+_TRIVIAL_KEY = alpha_key(parse_identity("x = y"))  # only order 1 holds it
 
 _CANONICAL_LIMIT = 8
 _FORCED_FULL_LIMIT = 8
@@ -126,13 +119,56 @@ def canonical_table(
 
 
 # ---------------------------------------------------------------------------
-# row symmetry breaking
+# the propagators
 #
-# The canonical table C is at most C relabeled by any p, and rows compare
-# in order, so row 0 of C is at most row 0 of C relabeled by p: when
-# p(k) = 0, row k of C written by p.  So pruning a table whose row 0
-# exceeds such a rewrite of a complete row never discards a canonical
-# table, whatever the variety.
+# Each part is built per search as closures over the walk's state, with
+# some of these hooks; the walk runs each hook of every part that has it.
+# decide and scan may queue the (row, column, value) cells they force.
+#   pins                the cells decided up front
+#   decide(a, b, x, q)  False, having changed nothing, refuses table[a][b] = x
+#   undo(a, b, x)       takes back what decide recorded
+#   scan(a, b, q)       not None on a failing instance that reads cell (a, b)
+#   settled()           False drops the state once propagation ends
+#   passed(first, pos)  False drops the rows walked past from ``first``
+#   used(i, j)          bit mask of the values cell (i, j) may not take
+
+_Part = namedtuple("_Part", "pins decide undo scan settled passed used",
+                   defaults=((),) + (None,) * 6)
+
+
+def _forcing(n: int) -> _Part:
+    row_mask, col_mask = [0] * n, [0] * n
+
+    def flip(a: int, b: int, x: int) -> None:
+        row_mask[a] ^= 1 << x
+        col_mask[b] ^= 1 << x
+
+    def decide(a: int, b: int, x: int, queue: list) -> bool:
+        if (row_mask[a] | col_mask[b]) >> x & 1:
+            return False
+        row_mask[a] ^= 1 << x
+        col_mask[b] ^= 1 << x
+        queue.append((x, a, b))
+        return True
+
+    return _Part(decide=decide, undo=flip,
+                 used=lambda i, j: row_mask[i] | col_mask[j])
+
+
+def _propagators(v: VarietySpec, keys, table, by_value) -> list[_Part]:
+    # x = y reads no cell, so no scanner sees it: it drops every state
+    n = len(table)
+    parts = [_Part(pins=[(i, i, i) for i in range(n)])
+             ] if _IDEMPOTENT_KEYS.intersection(keys) else []
+    if _FORCING_KEYS.intersection(keys):
+        parts.append(_forcing(n))
+    for ident, k in zip(v.identities, keys):
+        if k == _TRIVIAL_KEY and n > 1:
+            parts.append(_Part(settled=lambda: False))
+        elif k not in _IDEMPOTENT_KEYS and k not in _FORCING_KEYS:
+            scan = _compile_kernel(ident, partial=True)
+            parts.append(_Part(scan=partial(scan, table, n, by_value)))
+    return parts
 
 
 def _row_minimal(row0: tuple[int, ...], k: int, row: tuple[int, ...]) -> bool:
@@ -143,30 +179,34 @@ def _row_minimal(row0: tuple[int, ...], k: int, row: tuple[int, ...]) -> bool:
     swap[0], swap[k] = k, 0
     moved = [swap[row[x]] for x in swap]
     for sigma, inv in _relabelings(n):
-        for j in range(n):
-            v = sigma[moved[inv[j]]]
-            cur = row0[j]
-            if v < cur:
-                return False
-            if v > cur:
+        for i, cur in zip(inv, row0):
+            if sigma[moved[i]] != cur:
+                if sigma[moved[i]] < cur:
+                    return False
                 break
     return True
 
 
-# ---------------------------------------------------------------------------
-# the search itself
+def _row_break(table: list[list[int | None]]) -> _Part:
+    # sound: the canonical table C is at most C relabeled by any p, so its
+    # row 0 is at most row k of C written by any p with p(k) = 0.  Row 0
+    # is tested once propagation settles, so a failure counts; each later
+    # row once the walk has passed it (the caller tested those above)
+    n = len(table)
+    cached = lru_cache(maxsize=None)(_row_minimal)  # this search's memo
+    minimal = lambda k: cached(tuple(table[0]), k, tuple(table[k]))
+    return _Part(settled=lambda: None in table[0] or minimal(0),
+                 passed=lambda first, pos: all(map(
+                     minimal, range(max(1, (first - 1) // n), pos // n))))
 
 
 def enumerate_models(
     order: int, v: VarietySpec, limit: int | None = None
 ) -> SearchOutcome:
     """All isomorphism classes of order-`order` models of v, or the first
-    `limit` of them.
-
-    Above the full-enumeration envelope (8 for varieties containing the
-    forcing law (xy)x = y, 6 otherwise) and up to order 16, a limit is
-    mandatory and the returned witnesses are not canonicalized.
-    """
+    `limit` of them.  Past the full-enumeration envelope (8 with the law
+    (xy)x = y, 6 without) and up to order 16, a limit is mandatory and the
+    witnesses are not canonicalized."""
     if order < 1:
         raise ValueError("order must be positive")
     if limit is not None and limit < 1:
@@ -177,9 +217,8 @@ def enumerate_models(
             f"({_WITNESS_LIMIT}); no search mode is available that far out"
         )
     keys = [alpha_key(i) for i in v.identities]
-    has_idem = any(k in _IDEMPOTENT_KEYS for k in keys)
-    has_forcing = any(k in _FORCING_KEYS for k in keys)
-    full_limit = _FORCED_FULL_LIMIT if has_forcing else _PLAIN_FULL_LIMIT
+    full_limit = (_FORCED_FULL_LIMIT if _FORCING_KEYS.intersection(keys)
+                  else _PLAIN_FULL_LIMIT)
     witness_mode = order > full_limit
     if witness_mode and limit is None:
         raise ResourceLimitError(
@@ -187,120 +226,82 @@ def enumerate_models(
             f"desk-scale envelope (order {full_limit}); only a witness "
             "search with a limit (models --limit) goes past it"
         )
-    scanners = [
-        _compile_kernel(ident, partial=True)
-        for ident, k in zip(v.identities, keys)
-        if k not in _IDEMPOTENT_KEYS and k not in _FORCING_KEYS
-    ]
 
     n = order
-    t0 = time.perf_counter()
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
-    row_mask = [0] * n
-    col_mask = [0] * n
     trail: list[tuple[int, int]] = []
     by_value: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    nodes = 0
-    failures = 0
+    parts = _propagators(v, keys, table, by_value)
+    if not witness_mode:
+        parts.append(_row_break(table))
+    pins, decides, undos, scans, settles, passes, uses = (
+        [h for p in parts if (h := getattr(p, f))] for f in _Part._fields)
+    t0 = time.perf_counter()
+    nodes = failures = 0
     models: dict[tuple[tuple[int, ...], ...], FiniteGroupoid] = {}
-    row_memo: dict[tuple, bool] = {}
 
-    def assign(queue: list[tuple[int, int, int]]) -> bool:
-        # decide each (row, column, value) on the queue, and the cells the
-        # forcing law adds to it; False at the first conflict
-        while queue:
-            a, b, x = queue.pop()
-            cur = table[a][b]
-            if cur is not None:
-                if cur != x:
-                    return False
-                continue
-            if has_forcing:
-                bit = 1 << x
-                if row_mask[a] & bit or col_mask[b] & bit:
-                    return False
-                row_mask[a] |= bit
-                col_mask[b] |= bit
-                queue.append((x, a, b))
-            table[a][b] = x
-            trail.append((a, b))
-            by_value[x].append((a, b))
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            a, b = trail.pop()
-            x = table[a][b]
-            table[a][b] = None
-            by_value[x].pop()
-            if has_forcing:
-                bit = ~(1 << x)
-                row_mask[a] &= bit
-                col_mask[b] &= bit
-
-    def consistent(mark: int) -> bool:
-        # the state before ``mark`` was consistent, so a failing instance
-        # now must read a cell decided since; the cells the scanners force
-        # join the trail and are scanned in turn, until none is new
-        forced: list[tuple[int, int, int]] = []
-        while mark < len(trail):
+    def propagate(queue: list[tuple[int, int, int]], mark: int) -> bool:
+        # decide the queued (row, column, value) cells, then scan in turn
+        # each one decided since ``mark``, before which all was consistent
+        while True:
+            while queue:
+                a, b, x = queue.pop()
+                if table[a][b] is not None:
+                    if table[a][b] != x:
+                        return False
+                    continue
+                for decide in decides:
+                    if not decide(a, b, x, queue):
+                        return False
+                table[a][b] = x
+                trail.append((a, b))
+                by_value[x].append((a, b))
+            if mark == len(trail):
+                for settled in settles:
+                    if not settled():
+                        return False
+                return True
             a, b = trail[mark]
             mark += 1
-            for scan in scanners:
-                if scan(table, n, by_value, a, b, forced) is not None:
+            for scan in scans:
+                if scan(a, b, queue) is not None:
                     return False
-            if not assign(forced):
-                return False
-        return witness_mode or None in table[0] or row_minimal(0)
-
-    def row_minimal(k: int) -> bool:
-        key = (tuple(table[0]), k, tuple(table[k]))
-        ok = row_memo.get(key)
-        if ok is None:
-            ok = row_memo[key] = _row_minimal(*key)
-        return ok
 
     def completions(pos: int):
         nonlocal nodes, failures
         first = pos
         while pos < n * n and table[pos // n][pos % n] is not None:
             pos += 1
-        # row 0 is tested in ``consistent``, where a failed test counts as
-        # a failure; each later row once the walk has passed it, and the
-        # caller has tested those above its own row
-        if not witness_mode and not all(
-            map(row_minimal, range(max(1, (first - 1) // n), pos // n))
-        ):
-            return
+        for passed in passes:
+            if not passed(first, pos):
+                return
         if pos == n * n:
             yield tuple(tuple(row) for row in table)
             return
         i, j = divmod(pos, n)
-        used = row_mask[i] | col_mask[j]  # both 0 without the forcing law
+        used = 0
+        for mask in uses:
+            used |= mask(i, j)
         for val in range(n):
             if used >> val & 1:
                 continue
             mark = len(trail)
             nodes += 1
-            if assign([(i, j, val)]) and consistent(mark):
+            if propagate([(i, j, val)], mark):
                 yield from completions(pos + 1)
             else:
                 failures += 1
-            undo(mark)
-
-    pins = [(i, i, i) for i in range(n)] if has_idem else []
-    # the scanners see instances through the cells they read; those of a
-    # law without products (x = y) read none and are decided up front
-    feasible = (n == 1 or all(
-        ident.lhs == ident.rhs
-        for ident in v.identities
-        if isinstance(ident.lhs, Var) and isinstance(ident.rhs, Var)
-    )) and assign(pins)
+            while len(trail) > mark:  # undo
+                a, b = trail.pop()
+                x, table[a][b] = table[a][b], None
+                by_value[x].pop()
+                for take_back in undos:
+                    take_back(a, b, x)
 
     # the laws hold in all of a class or in none of it, so the first leaf
     # that fails is the first of its class, and checking one table per
     # class still stops at that leaf
-    for tab in completions(0) if feasible and consistent(0) else ():
+    for tab in completions(0) if propagate(sum(pins, []), 0) else ():
         if not witness_mode:
             tab = canonical_table(tab)
         if tab in models:
@@ -310,8 +311,7 @@ def enumerate_models(
         if not report.holds:
             raise SearchInvariantError(
                 f"search leaf fails '{report.first_failure.identity}'; "
-                "propagation is unsound"
-            )
+                "propagation is unsound")
         if len(models) == limit:
             break
 

@@ -105,6 +105,8 @@ BOTH_FORMATS = [
     "models --variety band --order 3",
     "models --order 4 --emit out",
     "models --order 3 --limit 0",
+    "models --variety aragb --order 16 --limit 1",
+    "models --variety aragb --order 9 --limit 1",
     "diff l2.json l2bad.json",
     "diff g.json g.json",
     "limit-product 5 6",

@@ -225,6 +225,45 @@ def test_search_counts_are_pinned(name, order, count, nodes, failures):
     )
 
 
+# witness mode, limit=1: (variety, order, count, nodes, failures)
+WITNESS_COUNTS = [("aragb", 9, 0, 2774, 1345), ("aragb", 16, 1, 21, 8),
+                  ("band", 7, 1, 21, 0), ("ag", 7, 1, 49, 0)]
+
+ARAGB_16_WITNESS = (
+    (0, 2, 3, 1, 5, 6, 4, 8, 9, 7, 11, 12, 10, 14, 15, 13),
+    (3, 1, 0, 2, 7, 10, 13, 15, 11, 5, 9, 14, 6, 12, 8, 4),
+    (1, 3, 2, 0, 14, 8, 11, 6, 13, 12, 4, 7, 15, 5, 10, 9),
+    (2, 0, 1, 3, 12, 15, 9, 10, 4, 14, 13, 5, 8, 7, 6, 11),
+    (6, 15, 10, 8, 4, 0, 5, 1, 12, 13, 14, 9, 3, 11, 2, 7),
+    (4, 9, 13, 11, 6, 5, 0, 14, 2, 10, 1, 15, 7, 8, 12, 3),
+    (5, 12, 7, 14, 0, 4, 6, 11, 15, 3, 8, 2, 13, 1, 9, 10),
+    (9, 4, 11, 13, 15, 12, 2, 7, 0, 8, 3, 6, 14, 10, 5, 1),
+    (7, 14, 5, 12, 3, 13, 10, 9, 8, 0, 15, 1, 4, 2, 11, 6),
+    (8, 10, 15, 6, 11, 1, 14, 0, 7, 9, 5, 13, 2, 4, 3, 12),
+    (12, 5, 14, 7, 2, 9, 15, 13, 6, 1, 10, 0, 11, 3, 4, 8),
+    (10, 8, 6, 15, 13, 3, 7, 2, 14, 4, 12, 11, 0, 9, 1, 5),
+    (11, 13, 9, 4, 8, 14, 1, 5, 3, 15, 0, 10, 12, 6, 7, 2),
+    (15, 6, 8, 10, 9, 2, 12, 3, 5, 11, 7, 4, 1, 13, 0, 14),
+    (13, 11, 4, 9, 10, 7, 3, 12, 1, 6, 2, 8, 5, 15, 14, 0),
+    (14, 7, 12, 5, 1, 11, 8, 4, 10, 2, 6, 3, 9, 0, 13, 15),
+)
+
+
+@pytest.mark.parametrize("name, order, count, nodes, failures",
+                         WITNESS_COUNTS)
+def test_witness_search_counts_are_pinned(name, order, count, nodes,
+                                          failures):
+    out = enumerate_models(order, get_variety(name), limit=1)
+    assert (out.count, out.stats.nodes, out.stats.propagation_failures) == (
+        count, nodes, failures
+    )
+
+
+def test_the_first_order_16_witness_is_pinned():
+    (w,) = enumerate_models(16, ARAGB, limit=1).canonical_models
+    assert w.table == ARAGB_16_WITNESS
+
+
 @pytest.mark.parametrize("name", ["ag", "band"])
 def test_propagation_loses_no_leaf_and_reorders_none(name, monkeypatch):
     # the walk yields every model whose rows all pass the symmetry break,
