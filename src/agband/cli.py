@@ -363,19 +363,6 @@ class _FormatBeforeMode(argparse.Action):
                      f"'{parser.prog} <mode> ... --format {values}'")
 
 
-class _Unparsed(Exception):
-    """A narrow parser met an argv it does not take."""
-
-
-class _NarrowParser(argparse.ArgumentParser):
-    """A parser built for one subcommand.  Where it would print an error it
-    raises _Unparsed instead, and ``run`` parses again with the full
-    parser, so every usage and error text is the full parser's."""
-
-    def error(self, message):
-        raise _Unparsed
-
-
 _COMMANDS = (
     "build", "check", "iso", "classify-bijections", "canonical-iso",
     "decompose", "spectrum", "models", "diff", "limit-product", "verify-paper",
@@ -390,18 +377,24 @@ def _only(argv, depth: int, names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _build_parser(argv=None) -> argparse.ArgumentParser:
-    """The full parser; given ``argv``, a _NarrowParser that builds only
-    the subcommand ``argv`` names and, in the build and decompose groups,
-    only the mode it names, so that one call builds one subparser."""
-    parser = (argparse.ArgumentParser if argv is None else _NarrowParser)(
+    """The full parser; given ``argv``, one that builds only the subcommand
+    ``argv`` names and, in the build and decompose groups, only the mode it
+    names, so that one call builds one subparser.  Either prints the same
+    usage, help and error texts for ``argv``."""
+    parser = argparse.ArgumentParser(
         prog="agband",
         description=(
             "Build, check and dissect the order-quadrupling family of "
             "anti-rectangular bands."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     want = _only(argv, 0, _COMMANDS)
+    # the top usage line lists every subcommand, built or not; with all of
+    # them built the metavar stays unset, so a missing one is "command"
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(want) == 1 else None,
+    )
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
@@ -533,22 +526,11 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """``argv`` parsed by the parser of its subcommand alone, or by the
-    full parser when it names none or that parser refuses it."""
-    if argv[:1] and argv[0] in _COMMANDS:
-        try:
-            return _build_parser(argv).parse_args(argv)
-        except _Unparsed:
-            pass
-    return _build_parser().parse_args(argv)
-
-
 def run(argv=None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

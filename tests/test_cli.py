@@ -13,7 +13,7 @@ import agband
 from agband import cli, verify
 from agband.cli import run
 from agband.construct import standard_g, tower_level
-from agband.groupoid import to_json
+from agband.groupoid import FiniteGroupoid, to_json
 
 
 @pytest.fixture
@@ -321,6 +321,20 @@ def test_a_claim_that_raises_reports_fail_with_the_exception(monkeypatch):
     assert (row.status, row.detail) == ("FAIL", "KeyError: 'row 3'")
 
 
+def test_theorem_12_fails_if_the_base_points_come_back_closed(monkeypatch):
+    restrict = FiniteGroupoid.restrict
+
+    def closed_base(self, subset):
+        if tuple(subset) == (0, 4, 8, 12):
+            return standard_g()
+        return restrict(self, subset)
+
+    monkeypatch.setattr(FiniteGroupoid, "restrict", closed_base)
+    (row,) = verify.run_claims(["theorem-12"]).results
+    assert (row.status, row.detail) == (
+        "FAIL", "the four base points unexpectedly form a subgroupoid")
+
+
 def test_verify_paper_exits_one_on_a_failing_claim(capsys, monkeypatch):
     _replace_table_3(monkeypatch, lambda: verify._need(False, "row 3 moved"))
     assert run(["verify-paper", "--only", "table-3", "--format", "text"]) == 1
@@ -364,8 +378,9 @@ def test_check_rejects_non_integer_json_as_usage_error(capsys, tmp_path, doc):
 
 
 # ---------------------------------------------------------------------------
-# the one-subparser parse: each call builds the parser of its subcommand
-# alone, and hands the full parser any argv that one refuses
+# the one-subparser parse: each call builds one parser, of its subcommand
+# alone, and that parser prints every help and error text the full parser
+# would print
 
 
 def parse_outcome(parse, argv, capsys):
@@ -381,6 +396,10 @@ def parse_outcome(parse, argv, capsys):
 
 def full_parse(argv):
     return cli._build_parser().parse_args(argv)
+
+
+def narrow_parse(argv):
+    return cli._build_parser(argv).parse_args(argv)
 
 
 def test_the_commands_are_the_full_parsers_subcommands():
@@ -400,11 +419,7 @@ def test_every_help_text_is_the_full_parsers(argv, capsys):
     want = parse_outcome(full_parse, argv, capsys)
     assert want[0] == 0 and want[1].startswith("usage: agband")
     assert (run(argv), *capsys.readouterr()) == want
-    if argv[0] in cli._COMMANDS:
-        # printed by the narrow parser itself, not by a fallback
-        narrow = parse_outcome(lambda a: cli._build_parser(a).parse_args(a),
-                               argv, capsys)
-        assert narrow == want
+    assert parse_outcome(narrow_parse, argv, capsys) == want
 
 
 ERRORS = [
@@ -421,6 +436,8 @@ ERRORS = [
     ["limit-product", "one", "2"],
     ["check", "--variety", "ag", "--law", "x = xx"],
     ["models", "--order", "4", "--limi", "1", "--limit", "x"],
+    ["build", "g", "--n", "3"],
+    ["decompose", "gcopies"],
 ]
 
 
@@ -429,11 +446,28 @@ def test_every_usage_error_is_the_full_parsers(argv, capsys):
     want = parse_outcome(full_parse, argv, capsys)
     assert want[0] == 2 and want[1] == "" and "error: " in want[2]
     assert (run(argv), *capsys.readouterr()) == want
-    if argv[:1] and argv[0] in cli._COMMANDS:
-        # the narrow parser prints nothing of its own
-        with pytest.raises(cli._Unparsed):
-            cli._build_parser(argv).parse_args(argv)
-        assert capsys.readouterr() == ("", "")
+    assert parse_outcome(narrow_parse, argv, capsys) == want
+
+
+def test_no_command_is_reported_as_the_missing_command(capsys):
+    # the full parser leaves the subcommand metavar unset
+    assert run([]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: command\n")
+
+
+def test_a_usage_error_builds_one_parser(capsys, monkeypatch):
+    calls = []
+    build = cli._build_parser
+
+    def counted(argv=None):
+        calls.append(argv)
+        return build(argv)
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    assert run(["build", "g", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert calls == [["build", "g", "--bogus"]]
 
 
 ACCEPTED = [
@@ -457,4 +491,4 @@ ACCEPTED = [
 
 @pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
 def test_the_narrow_parser_reads_what_the_full_parser_reads(argv):
-    assert vars(cli._build_parser(argv).parse_args(argv)) == vars(full_parse(argv))
+    assert vars(narrow_parse(argv)) == vars(full_parse(argv))
