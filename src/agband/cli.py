@@ -8,6 +8,8 @@ Exit codes: 0 success / all checks pass, 1 mathematical failure (an
 identity fails, no isomorphism exists, tables differ, a claim fails),
 2 usage error (bad arguments, unreadable input, out-of-envelope request).
 A closed stdout ends the process quietly by SIGPIPE, as it ends ``cat``.
+``main`` ends the process once the output is flushed, unless a tracer or
+profiler is installed; ``run`` returns, so its callers shut down normally.
 
 Each call runs only the modules its subcommand uses: `laws`, `morphisms`,
 `decompose`, `search` and `verify` are in sys.modules once this module is
@@ -17,6 +19,7 @@ imported, but each runs on first use, so `build g` runs none of them.
 from __future__ import annotations
 
 import argparse
+import atexit
 import importlib.util
 import json
 import os
@@ -548,7 +551,22 @@ def run(argv=None) -> int:
 def main() -> None:
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run())
+    code = run()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        # What the interpreter's shutdown does that can change what a user
+        # sees, in its order: at-exit callbacks, then flushing the standard
+        # streams.  The rest frees memory.  No thread is running, and every
+        # file written was closed by its ``with``.
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except (OSError, ValueError):
+            pass  # the interpreter reports it, as it does at exit
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

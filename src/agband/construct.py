@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import ResourceLimitError
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, _built, _checked_labels
 
 # ---------------------------------------------------------------------------
 # the standard order-4 model
@@ -91,7 +91,10 @@ def extend(base: FiniteGroupoid, designated: int = 0,
         raise ValueError(f"label {x_label!r} already used in the base")
     from .laws import require_aragb  # here, so that `build g` never runs laws
     require_aragb(base, "base")
-    return _extend(base, designated, x_label)
+    g = _extend(base, designated, x_label)
+    # a base label may read as a product label does, "x*a" say
+    _checked_labels(g.labels, g.order)
+    return g
 
 
 def _extension_labels(labels, a: int, x_label: str) -> list[str]:
@@ -130,8 +133,7 @@ def _extend(base: FiniteGroupoid, a: int, x_label: str) -> FiniteGroupoid:
              for ob, word in row), ())
         for row in words for i in js
     ]
-    return FiniteGroupoid(tuple(table),
-                          _extension_labels(base.labels, a, x_label))
+    return _built(tuple(table), _extension_labels(base.labels, a, x_label))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ def j_subband(n: int) -> FiniteGroupoid:
     carrier = sorted(to_index(u << 2) for u in range(base.order))
     table = affine_table(bytes(to_vector(t) >> 2 for t in carrier))
     labels = _extension_labels(base.labels, 0, f"x{n}")
-    return FiniteGroupoid(table, [labels[t] for t in carrier])
+    return _built(table, [labels[t] for t in carrier])
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,7 @@ class FiniteGroupoid:
         if not table:
             raise ValueError("order must be at least 1")
         n = len(table)
-        if labels is None:
-            labels = default_labels(n)
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(labels)}")
-        if len(set(labels)) != n or any(not s for s in labels):
-            raise ValueError("labels must be distinct and nonempty")
+        labels = _checked_labels(default_labels(n) if labels is None else labels, n)
         # the whole table at C level; only a bad table pays for the
         # row-major loop that names its first bad row or cell
         cells = chain.from_iterable
@@ -88,7 +82,7 @@ class FiniteGroupoid:
 
     def opposite(self) -> "FiniteGroupoid":
         """Transpose of the table; same carrier, same labels."""
-        return FiniteGroupoid(table=tuple(zip(*self.table)), labels=self.labels)
+        return _built(tuple(zip(*self.table)), self.labels)
 
     def generated_subgroupoid(self, seeds) -> set[int]:
         """Least subset containing ``seeds`` and closed under the product."""
@@ -138,10 +132,8 @@ class FiniteGroupoid:
                 f"subset not closed: {i} * {j} = {t[i][j]} escapes",
                 witness=(i, j, t[i][j]),
             )
-        return FiniteGroupoid(
-            table=[_gather(pos, row) for row in rows],
-            labels=_gather(self.labels, sub),
-        )
+        return _built(tuple(_gather(pos, row) for row in rows),
+                      _gather(self.labels, sub))
 
     def relabel(self, perm) -> "FiniteGroupoid":
         """Carrier permutation: element i becomes perm[i].  Labels follow."""
@@ -159,6 +151,31 @@ class FiniteGroupoid:
             ),
             labels=tuple(self.labels[inv[i]] for i in range(n)),
         )
+
+
+def _checked_labels(labels, n: int) -> tuple[str, ...]:
+    """``labels`` as n distinct nonempty strings, or ValueError."""
+    labels = tuple(str(s) for s in labels)
+    if len(labels) != n:
+        raise ValueError(f"expected {n} labels, got {len(labels)}")
+    if len(set(labels)) != n or any(not s for s in labels):
+        raise ValueError("labels must be distinct and nonempty")
+    return labels
+
+
+def _built(table: tuple[tuple[int, ...], ...], labels) -> FiniteGroupoid:
+    """A FiniteGroupoid from parts the library has already checked, without
+    the value scan of ``FiniteGroupoid.__init__``.
+
+    The caller guarantees what that scan would prove: ``table`` is a tuple
+    of n tuples of n ints, each in range(n), and ``labels`` are n distinct
+    nonempty strings.  No table from outside the library comes here
+    unchecked; ``tests/test_groupoid.py`` lists the callers.
+    """
+    g = object.__new__(FiniteGroupoid)
+    object.__setattr__(g, "table", table)
+    object.__setattr__(g, "labels", tuple(labels))
+    return g
 
 
 def _gather(seq, indices) -> tuple:

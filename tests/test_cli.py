@@ -87,6 +87,45 @@ def test_a_closed_stdout_ends_the_process_quietly():
     assert err == b""
 
 
+# main() ends the process once its output is flushed; these pin what the
+# interpreter's shutdown would otherwise have done
+
+
+def test_build_g_with_stdout_closed_exits_quietly(fresh_python):
+    proc = fresh_python("-c", "import os, sys\nos.close(1)\nos.execv(sys.executable, "
+                        "[sys.executable, '-m', 'agband.cli', 'build', 'g'])")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_main_runs_the_at_exit_callbacks_registered_before_it(fresh_python):
+    proc = fresh_python("-c", "import atexit, sys\natexit.register(print, 'at exit')\n"
+                        "sys.argv[1:] = ['build', 'g']\n"
+                        "from agband.cli import main\nmain()")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == to_json(standard_g()) + "\nat exit\n"
+
+
+def test_main_under_cprofile_prints_the_statistics(fresh_python):
+    proc = fresh_python("-m", "cProfile", "-m", "agband.cli", "build", "g")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith(to_json(standard_g()) + "\n")
+    assert " function calls " in proc.stdout
+
+
+def test_a_process_ends_as_run_returns(fresh_python, tmp_path, capsys):
+    doc = json.loads(to_json(tower_level(2)))
+    doc["table"][1][5] = (doc["table"][1][5] + 1) % 16
+    bad = tmp_path / "bad2.json"
+    bad.write_text(json.dumps(doc))
+    for argv, code in ((["build", "gn", "--n", "4"], 0), (["check", str(bad)], 1),
+                       (["build", "gn", "--n", "9"], 2)):
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        proc = fresh_python("-m", "agband.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, captured.out, captured.err)
+
+
 def test_check_passes_on_file_input(g_file, capsys):
     assert run(["check", g_file, "--variety", "aragb"]) == 0
     doc = out_json(capsys)

@@ -80,6 +80,16 @@ def test_extend_refuses_an_x_label_the_base_already_uses():
         extend(standard_g(), x_label="ab")
 
 
+@pytest.mark.parametrize("labels, x_label", [
+    (("a", "b", "ab", "x*a"), "x"),  # x*a is also the label of x times a
+    (("a", "b", "ab", "ba"), ""),
+])
+def test_extend_refuses_labels_that_would_repeat_or_be_empty(labels, x_label):
+    base = FiniteGroupoid(standard_g().table, labels)
+    with pytest.raises(ValueError, match="labels must be distinct and nonempty"):
+        extend(base, x_label=x_label)
+
+
 def scalar_extension_table(base, a):
     """The extension table cell by cell from the scalar _EXT_CELLS words."""
     m, n = base.table, base.order

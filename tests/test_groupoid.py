@@ -1,9 +1,13 @@
+import ast
 import json
+from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agband.construct import gbar_table3, tower_level
+from agband import groupoid
+from agband.construct import gbar_table3, j_subband, tower_level
 from agband.errors import ClosureError
 from agband.groupoid import (
     FiniteGroupoid,
@@ -383,3 +387,69 @@ def test_render_text_aligns_columns():
     assert len(lines) == 4
     assert lines[0].startswith("*")
     assert "e1" in lines[0] and "e2" in lines[2]
+
+
+# ---------------------------------------------------------------------------
+# the trusted path: tables the library builds from checked parts skip the
+# value scan of FiniteGroupoid.__init__
+
+TRUSTED_CALLERS = {
+    "construct._extend",
+    "construct.j_subband",
+    "groupoid.FiniteGroupoid.opposite",
+    "groupoid.FiniteGroupoid.restrict",
+}
+
+
+def _callers_of(name, tree, module):
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None) == name:
+                    found.add(".".join([module, *scope]))
+            walk(child, scope)
+
+    walk(tree, [])
+    return found
+
+
+def test_the_trusted_constructor_has_exactly_the_reviewed_callers():
+    src = Path(groupoid.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        callers |= _callers_of("_built", tree, path.stem)
+    assert callers == TRUSTED_CALLERS
+
+
+def _trusted_results():
+    for n in range(1, 6):
+        level = tower_level(n)
+        yield pytest.param(level, id=f"level-{n}")
+        yield pytest.param(level.opposite(), id=f"level-{n}-opposite")
+    for n in range(1, 5):
+        j = j_subband(n)
+        yield pytest.param(j, id=f"J{n}")
+        yield pytest.param(j.opposite(), id=f"J{n}-opposite")
+    level3 = tower_level(3)
+    for subset in ((0,), (0, 1, 2, 3), range(16), (0, 4, 8, 12)):
+        yield pytest.param(level3.restrict(subset),
+                           id=f"level-3-on-{len(subset)}-from-{subset[-1]}")
+    yield pytest.param(tower_level(4).restrict(
+        level3.generated_subgroupoid((0, 12, 48))), id="level-4-on-J2-carrier")
+
+
+@pytest.mark.parametrize("g", _trusted_results())
+def test_trusted_results_are_what_the_checking_constructor_builds(g):
+    assert g == FiniteGroupoid(g.table, g.labels)
+    assert type(g.table) is tuple and type(g.labels) is tuple
+    assert {type(row) for row in g.table} == {tuple}
+    assert set(map(type, chain.from_iterable(g.table))) == {int}
+    assert {type(s) for s in g.labels} == {str}
