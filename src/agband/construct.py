@@ -1,12 +1,12 @@
 """Constructions of anti-rectangular bands.
 
-The pieces: the standard order-4 model on two generators, an order-quadrupling
-extension that adjoins one fresh generator, the tower of iterated extensions
-together with the product of its direct limit, the proper sub-band witnessing
-self-embedding, and an order-16 table that is cancellative without being
-anti-rectangular.  The order-16 table is kept in two forms, one derived from
-its block description and one transcribed from its printed source, so the two
-can be diffed.
+The pieces, grown from the standard order-4 model (``groupoid.standard_g``):
+an order-quadrupling extension that adjoins one fresh generator, the tower of
+iterated extensions together with the product of its direct limit, the proper
+sub-band witnessing self-embedding, and an order-16 table that is cancellative
+without being anti-rectangular.  The order-16 table is kept in two forms, one
+derived from its block description and one transcribed from its printed
+source, so the two can be diffed.
 """
 
 from __future__ import annotations
@@ -14,23 +14,13 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import ResourceLimitError
-from .groupoid import FiniteGroupoid, _built, _checked_labels
-
-# ---------------------------------------------------------------------------
-# the standard order-4 model
-
-_G_TABLE = (
-    (0, 2, 3, 1),
-    (3, 1, 0, 2),
-    (1, 3, 2, 0),
-    (2, 0, 1, 3),
+from .groupoid import (
+    _G_TABLE,
+    FiniteGroupoid,
+    _built,
+    _checked_labels,
+    standard_g,
 )
-
-
-def standard_g() -> FiniteGroupoid:
-    """The order-4 model generated by two elements a and b."""
-    return FiniteGroupoid(_G_TABLE, ("a", "b", "ab", "ba"))
-
 
 # ---------------------------------------------------------------------------
 # the order-quadrupling extension

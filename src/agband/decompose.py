@@ -11,12 +11,12 @@ copies intersect.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import permutations
 from operator import itemgetter
 
-from .construct import standard_g, tower_level
+from .construct import tower_level
 from .errors import ResourceLimitError, SearchInvariantError
-from .groupoid import FiniteGroupoid
-from .morphisms import canonical_iso, iso_search
+from .groupoid import _G_TABLE, FiniteGroupoid, standard_g
 
 
 class Partition(namedtuple("Partition", "blocks")):
@@ -138,7 +138,12 @@ def extension_block_decomposition(n: int) -> BandDecomposition:
                 f"block starting at {lo} is not equal to the previous "
                 "level"
             )
-    if iso_search(outcome.quotient, standard_g()) is None:
+    # of the 24 bijections onto the quotient's four blocks, one must carry
+    # the model's table onto the quotient's
+    q = outcome.quotient.table
+    if not any(all(f[_G_TABLE[i][j]] == q[f[i]][f[j]]
+                   for i in range(4) for j in range(4))
+               for f in permutations(range(4))):
         raise SearchInvariantError("quotient is not isomorphic to the "
                                    "order-4 model")
     return outcome
@@ -155,6 +160,8 @@ def g_copy_partition(g: FiniteGroupoid) -> Partition:
     block is sorted, the blocks are ordered by least element, and every
     block is checked isomorphic to the order-4 model.
     """
+    # here, so that `decompose extension` never runs morphisms
+    from .morphisms import canonical_iso, iso_search
     blocks: list[list[int]] = [[] for _ in range(g.order // 4)]
     for e, image in enumerate(canonical_iso(g).images):
         blocks[image // 4].append(e)
@@ -202,6 +209,7 @@ def copy_intersection_audit(g: FiniteGroupoid) -> IntersectionAudit:
             f"{_AUDIT_LIMIT}"
         )
     from .laws import require_aragb  # here, so only the audit runs laws
+    from .morphisms import iso_search
     require_aragb(g, "input")
     reference = standard_g()
     multiplicity: dict[frozenset[int], int] = {}

@@ -1,7 +1,8 @@
 """Finite groupoids as immutable Cayley tables.
 
 Elements are the indices 0..n-1.  Labels are display strings only and never
-influence multiplication; every operation works on indices.
+influence multiplication; every operation works on indices.  The standard
+order-4 model lives here too, so that `build g` runs no other module.
 """
 
 from __future__ import annotations
@@ -161,6 +162,20 @@ def _checked_labels(labels, n: int) -> tuple[str, ...]:
     if len(set(labels)) != n or any(not s for s in labels):
         raise ValueError("labels must be distinct and nonempty")
     return labels
+
+
+# the standard order-4 model, on two generators a and b
+_G_TABLE = (
+    (0, 2, 3, 1),
+    (3, 1, 0, 2),
+    (1, 3, 2, 0),
+    (2, 0, 1, 3),
+)
+
+
+def standard_g() -> FiniteGroupoid:
+    """The order-4 model generated by two elements a and b."""
+    return FiniteGroupoid(_G_TABLE, ("a", "b", "ab", "ba"))
 
 
 def _built(table: tuple[tuple[int, ...], ...], labels) -> FiniteGroupoid:

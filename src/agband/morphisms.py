@@ -13,7 +13,6 @@ from collections import namedtuple
 from enum import Enum
 from operator import eq
 
-from .construct import adjoined_generator_index, tower_level
 from .errors import ResourceLimitError, SearchInvariantError
 from .groupoid import FiniteGroupoid
 
@@ -314,6 +313,8 @@ def _staged_iso(k: FiniteGroupoid, enumeration=None) -> Mapping:
     enumeration = tuple(enumeration)
     if sorted(enumeration) != list(range(n)):
         raise ValueError("enumeration must be a permutation of the indices")
+    # here, so that `iso` never runs construct
+    from .construct import adjoined_generator_index, tower_level
     target = tower_level(level)
     tt = target.table
     tk = k.table

@@ -20,7 +20,6 @@ from .construct import (
     gbar_table3,
     j_subband,
     limit_product,
-    standard_g,
     tower_level,
 )
 from .decompose import (
@@ -32,6 +31,7 @@ from .decompose import (
     g_copy_partition,
 )
 from .errors import ClosureError
+from .groupoid import standard_g
 from .laws import (
     ANTI_RECTANGULAR,
     IDEMPOTENT,

@@ -18,12 +18,11 @@ from agband.construct import (
     gbar_table3,
     j_subband,
     limit_product,
-    standard_g,
     tower_level,
 )
 from agband.decompose import Partition, check_band_decomposition
 from agband.errors import ClosureError
-from agband.groupoid import FiniteGroupoid
+from agband.groupoid import FiniteGroupoid, standard_g
 from agband.laws import (
     ANTI_RECTANGULAR,
     IDEMPOTENT,

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from agband import affine, construct
+from agband import affine, construct, groupoid
 from agband.construct import adjoined_generator_index, j_subband, tower_level
 from agband.errors import SearchInvariantError
 from agband.groupoid import FiniteGroupoid
@@ -54,7 +54,7 @@ def block_product(i, j, n):
     """The extension words applied block by block down to the order-4 model,
     in a level whose extension blocks have n elements."""
     if n == 1:
-        return construct._G_TABLE[i][j]
+        return groupoid._G_TABLE[i][j]
     rb, i = divmod(i, n)
     cb, j = divmod(j, n)
     ob, word = construct._EXT_CELLS[(rb, cb)]

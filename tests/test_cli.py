@@ -12,8 +12,8 @@ import pytest
 import agband
 from agband import cli, verify
 from agband.cli import run
-from agband.construct import standard_g, tower_level
-from agband.groupoid import FiniteGroupoid, to_json
+from agband.construct import tower_level
+from agband.groupoid import FiniteGroupoid, standard_g, to_json
 
 
 @pytest.fixture

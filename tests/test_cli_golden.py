@@ -27,8 +27,8 @@ from pathlib import Path
 import pytest
 
 from agband.cli import run
-from agband.construct import gbar_derived, standard_g, tower_level
-from agband.groupoid import FiniteGroupoid, to_json
+from agband.construct import gbar_derived, tower_level
+from agband.groupoid import FiniteGroupoid, standard_g, to_json
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 VERIFY_PAPER = GOLDEN.with_name("verify-paper.json")

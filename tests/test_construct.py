@@ -11,12 +11,11 @@ from agband.construct import (
     gbar_table3,
     j_subband,
     limit_product,
-    standard_g,
     tower_level,
 )
 from agband import construct
 from agband.errors import ResourceLimitError, VarietyError
-from agband.groupoid import FiniteGroupoid
+from agband.groupoid import FiniteGroupoid, standard_g
 from agband.laws import check_variety, get_variety
 from agband.morphisms import iso_search
 

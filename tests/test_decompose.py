@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from agband import decompose
-from agband.construct import gbar_derived, standard_g, tower_level
+from agband.construct import gbar_derived, tower_level
 from agband.decompose import (
     BandDecomposition,
     DecompositionWitness,
@@ -15,7 +16,7 @@ from agband.decompose import (
     g_copy_partition,
 )
 from agband.errors import ResourceLimitError, SearchInvariantError, VarietyError
-from agband.groupoid import FiniteGroupoid
+from agband.groupoid import FiniteGroupoid, standard_g
 from agband.laws import check_variety, get_variety
 from agband.morphisms import iso_search
 from agband.search import canonical_table
@@ -252,12 +253,29 @@ def test_extension_refuses_quarters_that_smear(monkeypatch):
 
 
 def iso_search_finds_nothing(monkeypatch):
-    monkeypatch.setattr(decompose, "iso_search", lambda src, dst: None)
+    monkeypatch.setattr("agband.morphisms.iso_search", lambda src, dst: None)
 
 
-def test_extension_refuses_a_quotient_that_is_not_g(monkeypatch):
-    iso_search_finds_nothing(monkeypatch)
+def with_quotient(monkeypatch, quotient):
+    """Make the extension's decomposition check return ``quotient``."""
+    real = check_band_decomposition
+    monkeypatch.setattr(decompose, "check_band_decomposition", lambda g, p:
+                        BandDecomposition(real(g, p).partition, quotient))
+
+
+@pytest.mark.parametrize("table", [
+    ((0, 1, 2, 3),) * 4,  # x * y = y
+    ((0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 3, 1)),  # G, one cell off
+])
+def test_extension_refuses_a_quotient_that_is_not_g(monkeypatch, table):
+    with_quotient(monkeypatch, FiniteGroupoid(table))
     with pytest.raises(SearchInvariantError, match="quotient is not isomorphic"):
+        extension_block_decomposition(2)
+
+
+def test_extension_takes_the_quotient_in_any_labelling_of_g(monkeypatch):
+    for perm in itertools.permutations(range(4)):
+        with_quotient(monkeypatch, G.relabel(perm))
         extension_block_decomposition(2)
 
 

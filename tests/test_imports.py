@@ -13,7 +13,7 @@ from agband.groupoid import to_json
 
 MODULES = (
     "errors", "groupoid", "laws", "construct", "morphisms", "decompose",
-    "search", "verify", "cli",
+    "search", "verify", "commands", "cli",
 )
 
 
@@ -39,9 +39,10 @@ def test_the_cli_loads_every_module(fresh_python):
 
 # The CLI registers these in sys.modules and runs each on first use.
 LAZY = {
-    "laws": "get_variety", "morphisms": "canonical_iso",
-    "decompose": "g_copy_partition", "search": "enumerate_models",
-    "verify": "run_claims",
+    "construct": "tower_level", "laws": "get_variety",
+    "morphisms": "canonical_iso", "decompose": "g_copy_partition",
+    "search": "enumerate_models", "verify": "run_claims",
+    "commands": "cmd_check",
 }
 # `before` leaves out what the interpreter's own start-up imported
 BUILD_G = ("import sys, types; before = set(sys.modules); import agband.cli\n"
@@ -130,9 +131,30 @@ def test_models_with_more_than_ten_classes_leaves_morphisms_unrun(
     assert last_line(proc) == "False"
 
 
+def test_build_g_runs_only_the_cli_groupoid_and_errors(fresh_python):
+    proc = fresh_python("-c", BUILD_G + "print(' '.join("
+                        "m for m in sorted(sys.modules) if m.startswith('agband.')"
+                        " and type(sys.modules[m]) is types.ModuleType))")
+    assert last_line(proc).split() == [
+        "agband.cli", "agband.errors", "agband.groupoid"]
+
+
 def test_build_g_leaves_the_affine_module_unloaded(fresh_python):
     proc = fresh_python("-c", BUILD_G + "print('agband.affine' in sys.modules)")
     assert last_line(proc) == "False"
+
+
+def module_ran(fresh_python, tmp_path, module, line):
+    """Whether the CLI ran agband.<module> for ``line``, in which {l2} is a
+    Cayley JSON file of level 2."""
+    path = tmp_path / "l2.json"
+    path.write_text(to_json(tower_level(2)), "utf-8")
+    argv = line.format(l2=path).split()
+    proc = fresh_python("-c", "import sys, types; import agband.cli\n"
+                        f"agband.cli.run({argv!r})\n"
+                        f"m = sys.modules['agband.{module}']\n"
+                        "print(type(m) is types.ModuleType)")
+    return last_line(proc) == "True"
 
 
 # morphisms runs laws only to name a refused input's failing law, and the
@@ -143,11 +165,16 @@ def test_build_g_leaves_the_affine_module_unloaded(fresh_python):
     "canonical-iso {l2}", "decompose extension --n 3", "decompose gcopies {l2}",
 ])
 def test_commands_leave_laws_unrun(fresh_python, tmp_path, line):
-    path = tmp_path / "l2.json"
-    path.write_text(to_json(tower_level(2)), "utf-8")
-    argv = line.format(l2=path).split()
-    proc = fresh_python("-c", "import sys, types; import agband.cli\n"
-                        f"agband.cli.run({argv!r})\n"
-                        "m = sys.modules['agband.laws']\n"
-                        "print(type(m) is types.ModuleType)")
-    assert last_line(proc) == "False"
+    assert not module_ran(fresh_python, tmp_path, "laws", line)
+
+
+# only the tower and the tables it builds need construct, and the quarters
+# of a level are checked against the order-4 model without an iso search
+@pytest.mark.parametrize("module, line", [
+    ("construct", "check {l2}"), ("construct", "iso {l2} {l2}"),
+    ("construct", "models --variety ag --order 3"),
+    ("morphisms", "decompose extension --n 3"),
+])
+def test_commands_leave_a_module_they_do_not_use_unrun(
+        fresh_python, tmp_path, module, line):
+    assert not module_ran(fresh_python, tmp_path, module, line)

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from agband.construct import gbar_derived, standard_g, tower_level
+from agband.construct import gbar_derived, tower_level
 from agband.decompose import g_copy_partition
 from agband.errors import SearchInvariantError, VarietyError
-from agband.groupoid import FiniteGroupoid
+from agband.groupoid import FiniteGroupoid, standard_g
 from agband.laws import require_aragb
 from agband.morphisms import (
     MapKind,

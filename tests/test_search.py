@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from agband.construct import standard_g, tower_level
+from agband.construct import tower_level
 from agband.errors import ResourceLimitError, SearchInvariantError
-from agband.groupoid import FiniteGroupoid
+from agband.groupoid import FiniteGroupoid, standard_g
 from agband.laws import (
     IDEMPOTENT,
     Identity,
